@@ -20,14 +20,21 @@
 //                         recorded; the two runs must agree on the final
 //                         diameter or the harness exits nonzero.
 //
-// Usage: perf_harness [--quick] [--out PATH] [--seed N]
+// Later blocks (dse, serve, load, socket, persist, backend, iter, memory)
+// come from the bench/*_scenario.h headers.
+//
+// Usage: perf_harness [--quick] [--out PATH] [--seed N] [--only BLOCK[,BLOCK...]]
 //   --quick caps sizes/iterations for CI smoke jobs.
+//   --only runs just the named scenario blocks (the document keeps its
+//   schema, with only those blocks under "scenarios").
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -79,7 +86,6 @@ void run_paper_benchmarks(json_writer& j, bool quick) {
   suite.push_back(si::make_iir_cascade(lib, quick ? 8 : 16));
   const int reps = quick ? 5 : 25;
 
-  j.key("paper_benchmarks");
   j.begin_array();
   for (const si::dfg& d : suite) {
     const si::resource_set rs = si::figure3_constraint(0);
@@ -122,7 +128,6 @@ void run_random_dag_sweep(json_writer& j, bool quick, std::uint64_t seed) {
     sizes.push_back(10000);
   }
 
-  j.key("random_dag_sweep");
   j.begin_array();
   for (const int n : sizes) {
     rng rand(seed + static_cast<std::uint64_t>(n));
@@ -365,7 +370,6 @@ bool write_storm(json_writer& j, const char* name, RunFn run) {
                           base2.diameter == baseline.diameter;
   incremental.wall_ms = std::min(incremental.wall_ms, inc2.wall_ms);
   baseline.wall_ms = std::min(baseline.wall_ms, base2.wall_ms);
-  j.key(name);
   j.begin_object();
   j.member("final_scheduled_ops", incremental.scheduled);
   j.member("final_diameter", incremental.diameter);
@@ -384,12 +388,27 @@ bool write_storm(json_writer& j, const char* name, RunFn run) {
   return consistent;
 }
 
+/// One scenario block of the document: its key under "scenarios", the
+/// progress line, and the writer (false = the block's own check failed).
+struct block {
+  const char* name;
+  const char* what;
+  std::function<bool(json_writer&)> write;
+};
+
 } // namespace
 
 int main(int argc, char** argv) {
+  namespace sb = softsched::bench;
   bool quick = false;
   std::string out_path = "BENCH_softsched.json";
   std::uint64_t seed = 20260729;
+  std::set<std::string> only;
+  const auto usage = [] {
+    std::cerr << "usage: perf_harness [--quick] [--out PATH] [--seed N] "
+                 "[--only BLOCK[,BLOCK...]]\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
@@ -398,9 +417,78 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
       seed = std::stoull(argv[++i]);
+    } else if (arg == "--only" && i + 1 < argc) {
+      const std::string list = argv[++i];
+      for (std::size_t from = 0; from <= list.size();) {
+        const std::size_t comma = std::min(list.find(',', from), list.size());
+        only.insert(list.substr(from, comma - from));
+        from = comma + 1;
+      }
     } else {
-      std::cerr << "usage: perf_harness [--quick] [--out PATH] [--seed N]\n";
-      return 2;
+      return usage();
+    }
+  }
+
+  const std::vector<block> blocks = {
+      {"paper_benchmarks", "paper benchmarks",
+       [&](json_writer& j) { return run_paper_benchmarks(j, quick), true; }},
+      {"random_dag_sweep", "random DAG sweep",
+       [&](json_writer& j) { return run_random_dag_sweep(j, quick, seed), true; }},
+      {"refinement_storm", "refinement storm (generic core)",
+       [&](json_writer& j) {
+         return write_storm(j, "refinement_storm", [&](bool inc) {
+           return run_generic_storm(quick ? 1000 : 2500, quick ? 120 : 400, seed, inc);
+         });
+       }},
+      {"hls_refinement_storm", "refinement storm (HLS binding)",
+       [&](json_writer& j) {
+         return write_storm(j, "hls_refinement_storm", [&](bool inc) {
+           return run_hls_storm(quick ? 16 : 32, quick ? 40 : 120, seed, inc);
+         });
+       }},
+      // The scenario blocks below run the same fixed workload in quick and
+      // full mode, so the CI regression gate always compares like against
+      // like.
+      {"dse", "design-space exploration",
+       [&](json_writer& j) { return sb::write_dse_scenario(j, seed); }},
+      // Cold/hot zipf request mix as --serve-batch sessions.
+      {"serve", "batch scheduling service",
+       [&](json_writer& j) { return sb::write_serve_scenario(j, seed); }},
+      // Open-loop overload replay against the resident service:
+      // sustainable-rate calibration, then 2x replay with a self-gating SLO
+      // block.
+      {"load", "resident service overload replay",
+       [&](json_writer& j) { return sb::write_load_scenario(j, seed); }},
+      // The same overload replay over real unix-socket connections with
+      // connection churn. Self-gating.
+      {"socket", "multi-client socket overload replay",
+       [&](json_writer& j) { return sb::write_socket_scenario(j, seed); }},
+      // Two-tier persistent cache: cold-populate a disk tier, warm-restart
+      // a fresh service over it, then serve through an injected disk
+      // outage. Self-gating.
+      {"persist", "persistent cache warm restart",
+       [&](json_writer& j) { return sb::write_persist_scenario(j, seed); }},
+      // Fixed benchmark suite under every registered scheduler backend: the
+      // head-to-head numbers the paper's comparison story rests on,
+      // cross-checked for determinism and legality.
+      {"backend", "scheduler backends",
+       [&](json_writer& j) { return sb::write_backend_scenario(j); }},
+      // sdc-iter QoR vs runtime on the named-benchmark constraint grid.
+      // Self-gating on "never worse than soft, strictly better somewhere".
+      {"iter", "iterative scheduling",
+       [&](json_writer& j) { return sb::write_iter_scenario(j); }},
+      // Warmed arena context vs the heap baseline under instrumented
+      // allocation counters. Self-gating on the allocation ratio and on
+      // arena/heap outcome parity.
+      {"memory", "memory micro-profile",
+       [&](json_writer& j) { return sb::write_memory_scenario(j); }},
+  };
+  for (const std::string& name : only) {
+    const bool known = std::any_of(blocks.begin(), blocks.end(),
+                                   [&](const block& b) { return name == b.name; });
+    if (!known) {
+      std::cerr << "perf_harness: unknown block '" << name << "'\n";
+      return usage();
     }
   }
 
@@ -417,77 +505,13 @@ int main(int argc, char** argv) {
   j.member("seed", seed);
   j.key("scenarios");
   j.begin_object();
-
-  std::cerr << "perf_harness: paper benchmarks...\n";
-  run_paper_benchmarks(j, quick);
-  std::cerr << "perf_harness: random DAG sweep...\n";
-  run_random_dag_sweep(j, quick, seed);
-
-  std::cerr << "perf_harness: refinement storm (generic core)...\n";
-  bool ok = write_storm(j, "refinement_storm", [&](bool inc) {
-    return run_generic_storm(quick ? 1000 : 2500, quick ? 120 : 400, seed, inc);
-  });
-  std::cerr << "perf_harness: refinement storm (HLS binding)...\n";
-  ok = write_storm(j, "hls_refinement_storm", [&](bool inc) {
-            return run_hls_storm(quick ? 16 : 32, quick ? 40 : 120, seed, inc);
-          }) &&
-       ok;
-
-  // Same fixed grids in quick and full mode (see dse_scenario.h), so the CI
-  // regression gate always compares like against like.
-  std::cerr << "perf_harness: design-space exploration...\n";
-  j.key("dse");
-  ok = softsched::bench::write_dse_scenario(j, seed) && ok;
-
-  // Fixed cold/hot request mix in quick and full mode (see
-  // serve_scenario.h), so the CI gate always compares like against like.
-  std::cerr << "perf_harness: batch scheduling service...\n";
-  j.key("serve");
-  ok = softsched::bench::write_serve_scenario(j, seed) && ok;
-
-  // Open-loop overload replay against the resident service (see
-  // load_scenario.h): sustainable-rate calibration, then 2x replay with a
-  // self-gating SLO block. Fixed mix in quick and full mode.
-  std::cerr << "perf_harness: resident service overload replay...\n";
-  j.key("load");
-  ok = softsched::bench::write_load_scenario(j, seed) && ok;
-
-  // The same overload replay driven over real unix-socket connections
-  // with connection churn (see socket_scenario.h). Self-gating.
-  std::cerr << "perf_harness: multi-client socket overload replay...\n";
-  j.key("socket");
-  ok = softsched::bench::write_socket_scenario(j, seed) && ok;
-
-  // Two-tier persistent cache: cold-populate a disk tier, warm-restart a
-  // fresh engine over it, then serve through an injected disk outage (see
-  // persist_scenario.h). Self-gating; fixed mix in quick and full mode.
-  std::cerr << "perf_harness: persistent cache warm restart...\n";
-  j.key("persist");
-  ok = softsched::bench::write_persist_scenario(j, seed) && ok;
-
-  // Fixed benchmark suite under every registered scheduler backend (see
-  // backend_scenario.h): the head-to-head numbers the paper's comparison
-  // story rests on, cross-checked for determinism and legality.
-  std::cerr << "perf_harness: scheduler backends...\n";
-  j.key("backend");
-  ok = softsched::bench::write_backend_scenario(j) && ok;
-
-  // sdc-iter QoR vs runtime on the named-benchmark constraint grid (see
-  // iter_scenario.h): latency deltas against soft, iterations to fixed
-  // point, and iterated-scheduling throughput. Self-gating on "never worse
-  // than soft, strictly better somewhere".
-  std::cerr << "perf_harness: iterative scheduling...\n";
-  j.key("iter");
-  ok = softsched::bench::write_iter_scenario(j) && ok;
-
-  // Memory micro-profile of the soft hot path: warmed arena context vs the
-  // heap baseline under instrumented allocation counters (see
-  // memory_scenario.h). Self-gating on the allocation ratio and on
-  // arena/heap outcome parity.
-  std::cerr << "perf_harness: memory micro-profile...\n";
-  j.key("memory");
-  ok = softsched::bench::write_memory_scenario(j) && ok;
-
+  bool ok = true;
+  for (const block& b : blocks) {
+    if (!only.empty() && only.count(b.name) == 0) continue;
+    std::cerr << "perf_harness: " << b.what << "...\n";
+    j.key(b.name);
+    ok = b.write(j) && ok;
+  }
   j.end_object(); // scenarios
   j.end_object(); // root
   out << '\n';
@@ -495,6 +519,7 @@ int main(int argc, char** argv) {
     std::cerr << "failed to emit well-formed JSON to " << out_path << "\n";
     return 1;
   }
-  std::cerr << "perf_harness: wrote " << out_path << "\n";
+  std::cerr << "perf_harness: wrote " << out_path << (ok ? "" : " (A BLOCK'S CHECK FAILED)")
+            << "\n";
   return ok ? 0 : 1;
 }

@@ -1,12 +1,13 @@
 // persist_scenario.h - the "persist" benchmark scenario: the crash-tolerant
-// two-tier schedule cache measured end to end. Four runs of the same
-// zipf-skewed request mix (serve_scenario.h):
+// two-tier schedule cache measured end to end. Four --serve-batch sessions
+// of the same zipf-skewed request mix (serve_scenario.h), each on its own
+// service:
 //
 //   reference - no disk tier; the determinism yardstick every other run's
 //               response payloads must match byte-for-byte (modulo `ms`);
 //   cold      - fresh cache directory, disk tier on: populates the store
 //               through the write-behind flusher;
-//   warm      - a *new* engine over the same directory (the warm-restart
+//   warm      - a *new* service over the same directory (the warm-restart
 //               shape: RAM tier empty, disk tier recovered by the open
 //               scan). Headline metrics: warm_restart_hit_rate (disk-tier
 //               hit rate - every unique key should come back from disk,
@@ -16,9 +17,9 @@
 //               with zero request errors and identical payloads. Headline:
 //               requests_per_sec_degraded (the outage-mode throughput).
 //
-// Included by bench/perf_harness.cpp (embeds the block into
-// BENCH_softsched.json, gated by ci/bench_gate.py) and
-// bench/persist_harness.cpp (standalone runner). The scenario self-gates:
+// Emitted by bench/perf_harness.cpp as the "persist" block of
+// BENCH_softsched.json, gated by ci/bench_gate.py (`perf_harness --only
+// persist` runs it alone; the CI persist job does). The scenario self-gates:
 // the emitted "gate" object records each invariant so the bench gate can
 // fail on `gate.pass` without re-deriving the checks.
 //
@@ -28,45 +29,18 @@
 // behind.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <system_error>
-#include <vector>
 
-#include "serve/engine.h"
+#include "serve/daemon.h"
 #include "serve_scenario.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
 namespace softsched::bench {
-
-struct persist_run {
-  std::vector<serve::response> responses;
-  double wall_ms = 0;
-};
-
-inline persist_run run_persist_mix(serve::engine& eng, const std::string& text) {
-  persist_run out;
-  std::istringstream in(text);
-  const auto t0 = std::chrono::steady_clock::now();
-  out.responses = eng.run_collect(in);
-  out.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  return out;
-}
-
-inline bool same_payloads(const std::vector<serve::response>& a,
-                          const std::vector<serve::response>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!a[i].same_payload(b[i])) return false;
-  return true;
-}
 
 /// Emits the whole scenario as the value of an already-written "persist"
 /// key. `jobs` = 0 picks thread_pool::hardware_workers(). Returns the
@@ -78,12 +52,7 @@ inline bool write_persist_scenario(json_writer& j, std::uint64_t seed, unsigned 
   constexpr int request_count = 400;
   constexpr std::size_t disk_budget = 64ull << 20;
 
-  const std::vector<std::string> lines = make_serve_mix(seed, request_count);
-  std::string text;
-  for (const std::string& line : lines) {
-    text += line;
-    text += '\n';
-  }
+  const std::string text = serve_mix_text(seed, request_count);
 
   std::error_code ec;
   const fs::path dir = fs::temp_directory_path(ec) /
@@ -94,63 +63,60 @@ inline bool write_persist_scenario(json_writer& j, std::uint64_t seed, unsigned 
   if (!dir_ok)
     std::cerr << "persist: cannot create cache directory " << dir << "\n";
 
-  serve::engine_options base;
+  serve::service_options base;
   base.jobs = static_cast<int>(jobs);
-  base.batch_size = 32;
   base.emit_schedule = false;
   base.cache_dir = dir.string();
   base.disk_cache_bytes = disk_budget;
 
-  // Reference: the exact same engine configuration minus the disk tier.
-  serve::engine_options plain = base;
+  // Reference: the exact same service configuration minus the disk tier.
+  serve::service_options plain = base;
   plain.cache_dir.clear();
   plain.disk_cache_bytes = 0;
-  serve::engine reference_engine(plain);
-  const persist_run reference = run_persist_mix(reference_engine, text);
+  serve::service reference_service(plain);
+  const std::string reference = strip_ms(run_session(reference_service, text).responses);
 
   // Cold run: populate the store through write-behind, then flush so the
   // warm run sees every record.
-  persist_run cold;
+  session_run cold;
   serve::disk_cache_counters cold_disk;
   bool cold_match = false;
   if (dir_ok) {
-    serve::engine eng(base);
-    cold = run_persist_mix(eng, text);
-    (void)eng.flush_disk();
-    cold_disk = eng.disk()->counters();
-    cold_match = same_payloads(reference.responses, cold.responses);
+    serve::service svc(base);
+    cold = run_session(svc, text);
+    (void)svc.flush_disk();
+    cold_disk = svc.disk()->counters();
+    cold_match = strip_ms(cold.responses) == reference;
   }
 
-  // Warm restart: a brand-new engine (empty RAM tier) over the populated
+  // Warm restart: a brand-new service (empty RAM tier) over the populated
   // directory. The open scan recovers the index; every unique key should
   // be a disk hit, so nothing re-runs the scheduler.
-  persist_run warm;
+  session_run warm;
   serve::disk_cache_counters warm_disk;
   bool warm_match = false;
   if (dir_ok) {
-    serve::engine eng(base);
-    warm = run_persist_mix(eng, text);
-    warm_disk = eng.disk()->counters();
-    warm_match = same_payloads(reference.responses, warm.responses);
+    serve::service svc(base);
+    warm = run_session(svc, text);
+    warm_disk = svc.disk()->counters();
+    warm_match = strip_ms(warm.responses) == reference;
   }
 
   // Degraded leg: first disk op reports an I/O error, flipping the tier to
-  // RAM-only. The engine must keep serving - zero request errors, payloads
+  // RAM-only. The service must keep serving - zero request errors, payloads
   // still identical - just without persistence.
-  persist_run degraded;
+  session_run degraded;
   serve::disk_cache_counters degraded_disk;
   bool degraded_match = false;
   if (dir_ok) {
-    serve::engine_options outage = base;
-    outage.disk_faults.ops[1] = serve::disk_fault_action{0, true, false};
-    serve::engine eng(outage);
-    degraded = run_persist_mix(eng, text);
-    degraded_disk = eng.disk()->counters();
-    degraded_match = same_payloads(reference.responses, degraded.responses);
+    serve::service_options outage = base;
+    outage.faults.io.ops[1] = serve::disk_fault_action{0, true, false};
+    serve::service svc(outage);
+    degraded = run_session(svc, text);
+    degraded_disk = svc.disk()->counters();
+    degraded_match = strip_ms(degraded.responses) == reference;
   }
-  std::uint64_t degraded_errors = 0;
-  for (const serve::response& r : degraded.responses)
-    if (!r.error.empty()) ++degraded_errors;
+  const std::uint64_t degraded_errors = degraded.errors;
 
   fs::remove_all(dir, ec);
 

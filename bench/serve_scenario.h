@@ -1,16 +1,15 @@
 // serve_scenario.h - the shared "serve" benchmark scenario: a zipf-skewed
 // JSONL request mix over benchmark and seeded-random design families,
-// played against the batch scheduling engine twice - once against a cold
-// cache, once hot - recording requests/sec for both, the cold-run hit
-// rate, and whether the responses are identical across worker counts and
-// cache sizes.
+// played as --serve-batch sessions (serve::serve_batch) against the
+// scheduling service twice - once against a cold cache, once hot -
+// recording requests/sec for both, the cold-run hit rate, and whether the
+// responses are identical across worker counts and cache sizes.
 //
-// Included by both bench/perf_harness.cpp (which embeds the block into
-// BENCH_softsched.json) and bench/serve_harness.cpp (the standalone
-// runner), so the two always measure the same workload. The mix is fixed -
-// it does not scale with --quick - because the CI bench gate compares the
-// hot throughput and hit rate against the committed baseline and must
-// compare like against like.
+// Emitted by bench/perf_harness.cpp as the "serve" block of
+// BENCH_softsched.json (`perf_harness --only serve` runs it alone). The
+// mix is fixed - it does not scale with --quick - because the CI bench
+// gate compares the hot throughput and hit rate against the committed
+// baseline and must compare like against like.
 //
 // Why the skewed mix: real HLS flows (feedback-guided iterative
 // scheduling, constraint sweeps) re-submit near-identical designs with
@@ -27,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/engine.h"
+#include "serve/daemon.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -83,18 +82,61 @@ inline std::vector<std::string> make_serve_mix(std::uint64_t seed, int count) {
   return lines;
 }
 
-struct serve_run_outcome {
-  serve::stream_summary summary;
-  serve::cache_counters cache;
+/// One measured --serve-batch session.
+struct session_run {
+  std::string responses;      ///< the session's JSONL output
+  double wall_ms = 0;
+  std::uint64_t computed = 0; ///< schedules this session computed
+  std::uint64_t errors = 0;
+  double hit_rate = 0; ///< requests served without computing / well-formed requests
 };
 
-inline serve_run_outcome run_serve_stream(serve::engine& eng, const std::string& text) {
+/// Plays `text` as one batch session against `svc`, writing the responses
+/// to memory (they are part of the served work).
+inline session_run run_session(serve::service& svc, const std::string& text) {
+  const serve::service_stats before = svc.stats();
   std::istringstream in(text);
-  std::ostringstream sink; // responses are part of the served work
-  serve_run_outcome out;
-  out.summary = eng.run_stream(in, sink);
-  out.cache = eng.cache().counters();
+  std::ostringstream out;
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)serve::serve_batch(in, out, svc);
+  session_run run;
+  run.wall_ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  svc.drain(); // settle the counters behind the last callback
+  const serve::service_stats after = svc.stats();
+  run.responses = std::move(out).str();
+  run.computed = after.computed - before.computed;
+  run.errors = after.errors - before.errors;
+  const std::uint64_t reused =
+      after.cache_hits + after.deduped - before.cache_hits - before.deduped;
+  run.hit_rate = reused + run.computed > 0
+                     ? static_cast<double>(reused) / static_cast<double>(reused + run.computed)
+                     : 0.0;
+  return run;
+}
+
+/// `jsonl` without each response's "ms" member (always the last one) -
+/// the one field the determinism contract leaves free.
+inline std::string strip_ms(const std::string& jsonl) {
+  std::string out;
+  std::istringstream lines(jsonl);
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t at = line.rfind(",\"ms\":");
+    out += at == std::string::npos ? line : line.substr(0, at) + "}";
+    out += '\n';
+  }
   return out;
+}
+
+/// The mix as one JSONL text.
+inline std::string serve_mix_text(std::uint64_t seed, int count) {
+  std::string text;
+  for (const std::string& line : make_serve_mix(seed, count)) {
+    text += line;
+    text += '\n';
+  }
+  return text;
 }
 
 /// Emits the whole scenario as the value of an already-written "serve"
@@ -103,18 +145,10 @@ inline serve_run_outcome run_serve_stream(serve::engine& eng, const std::string&
 inline bool write_serve_scenario(json_writer& j, std::uint64_t seed, unsigned jobs = 0) {
   if (jobs == 0) jobs = thread_pool::hardware_workers();
   constexpr int request_count = 400;
-  constexpr std::size_t batch_size = 32;
+  const std::string text = serve_mix_text(seed, request_count);
 
-  const std::vector<std::string> lines = make_serve_mix(seed, request_count);
-  std::string text;
-  for (const std::string& line : lines) {
-    text += line;
-    text += '\n';
-  }
-
-  serve::engine_options opt;
+  serve::service_options opt;
   opt.jobs = static_cast<int>(jobs);
-  opt.batch_size = batch_size;
   opt.emit_schedule = false; // throughput of the service, not of array printing
 
   // Determinism: responses must be identical payload-for-payload across
@@ -122,55 +156,48 @@ inline bool write_serve_scenario(json_writer& j, std::uint64_t seed, unsigned jo
   // anything, which forces recomputation instead of hits).
   bool deterministic = true;
   {
-    serve::engine_options serial = opt;
+    serve::service_options serial = opt;
     serial.jobs = 1;
-    serve::engine reference(serial);
-    serve::engine parallel_engine(opt);
-    serve::engine_options tiny = opt;
+    serve::service_options tiny = opt;
     tiny.cache_bytes = 1 << 14;
-    serve::engine tiny_cache(tiny);
-
-    std::istringstream in_a(text), in_b(text), in_c(text);
-    const std::vector<serve::response> ref = reference.run_collect(in_a);
-    const std::vector<serve::response> par = parallel_engine.run_collect(in_b);
-    const std::vector<serve::response> tin = tiny_cache.run_collect(in_c);
-    deterministic = ref.size() == par.size() && ref.size() == tin.size();
-    for (std::size_t i = 0; deterministic && i < ref.size(); ++i)
-      deterministic = ref[i].same_payload(par[i]) && ref[i].same_payload(tin[i]);
+    serve::service reference(serial), parallel(opt), tiny_cache(tiny);
+    const std::string ref = strip_ms(run_session(reference, text).responses);
+    deterministic = ref == strip_ms(run_session(parallel, text).responses) &&
+                    ref == strip_ms(run_session(tiny_cache, text).responses);
     if (!deterministic)
       std::cerr << "serve: responses diverged across jobs/cache configurations\n";
   }
 
-  // The measured runs: one engine, cold stream then hot stream.
-  serve::engine eng(opt);
-  const serve_run_outcome cold = run_serve_stream(eng, text);
-  const serve_run_outcome hot = run_serve_stream(eng, text);
+  // The measured runs: one service, cold session then hot session.
+  serve::service svc(opt);
+  const session_run cold = run_session(svc, text);
+  const session_run hot = run_session(svc, text);
+  const serve::cache_counters cache = svc.cache().counters();
 
-  const double rps_cold = cold.summary.requests_per_sec();
-  const double rps_hot = hot.summary.requests_per_sec();
+  const double rps_cold = cold.wall_ms > 0 ? request_count / (cold.wall_ms / 1e3) : 0.0;
+  const double rps_hot = hot.wall_ms > 0 ? request_count / (hot.wall_ms / 1e3) : 0.0;
 
   j.begin_object();
   j.member("requests", static_cast<long long>(request_count));
   j.member("catalog", serve_catalog(seed).size());
-  j.member("batch", batch_size);
   j.member("jobs", static_cast<unsigned long long>(jobs));
-  j.member("unique_scheduled", cold.summary.counters.computed);
-  j.member("cold_ms", cold.summary.wall_ms);
-  j.member("hot_ms", hot.summary.wall_ms);
+  j.member("unique_scheduled", cold.computed);
+  j.member("cold_ms", cold.wall_ms);
+  j.member("hot_ms", hot.wall_ms);
   j.member("requests_per_sec_cold", rps_cold);
   j.member("requests_per_sec_hot", rps_hot);
   j.member("speedup_hot_over_cold", rps_cold > 0 ? rps_hot / rps_cold : 0.0);
-  j.member("hit_rate", cold.summary.counters.hit_rate());
-  j.member("hit_rate_hot", hot.summary.counters.hit_rate());
+  j.member("hit_rate", cold.hit_rate);
+  j.member("hit_rate_hot", hot.hit_rate);
   j.member("deterministic", deterministic);
   j.key("cache");
   j.begin_object();
-  j.member("hits", hot.cache.hits);
-  j.member("misses", hot.cache.misses);
-  j.member("insertions", hot.cache.insertions);
-  j.member("evictions", hot.cache.evictions);
-  j.member("entries", hot.cache.entries);
-  j.member("bytes", hot.cache.bytes);
+  j.member("hits", cache.hits);
+  j.member("misses", cache.misses);
+  j.member("insertions", cache.insertions);
+  j.member("evictions", cache.evictions);
+  j.member("entries", cache.entries);
+  j.member("bytes", cache.bytes);
   j.end_object();
   j.end_object();
   return deterministic;

@@ -108,7 +108,6 @@ inline bool write_socket_scenario(json_writer& j, std::uint64_t seed,
   warm_catalog(svc, seed);
   serve::socket_server_options server_opt;
   server_opt.max_connections = connections + 1; // headroom for churn overlap
-  server_opt.connection.emit_schedule = false;
   serve::socket_server server(*lis, svc, server_opt);
   serve::socket_server_summary server_summary;
   std::thread server_thread([&] { server_summary = server.run(); });

@@ -24,8 +24,8 @@ struct layered_params {
 
 /// Layered-DAG shape for a target vertex count: layers = max(8, vertices /
 /// vertices_per_layer), width = vertices / layers. This is the one sizing
-/// rule every sweep-style harness (perf_harness, dse_harness, the explore
-/// random family) shares, so "a 3000-vertex random design" means the same
+/// rule every sweep-style harness (perf_harness's sweep and dse blocks, the
+/// explore random family) shares, so "a 3000-vertex random design" means the same
 /// workload everywhere.
 [[nodiscard]] layered_params layered_for_size(int vertices, double edge_prob,
                                               int vertices_per_layer = 64);

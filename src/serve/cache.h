@@ -10,10 +10,9 @@
 // never contend with each other. Counters are per shard and aggregated on
 // read.
 //
-// Determinism: lookup/insert order decides LRU state, so callers that need
-// reproducible hit patterns (the serve engine) serialize their cache
-// traffic; the striping exists for concurrent *readers/writers* that do
-// not need that property (docs/DESIGN.md §6).
+// Determinism: lookup/insert order decides LRU state and so which requests
+// hit; responses never depend on it, because a hit returns exactly what a
+// recomputation would (docs/DESIGN.md §6).
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <istream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -30,8 +32,8 @@ void sleep_ms(double ms) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-/// Same bounds as the engine's source memo (engine.h): the memo is a
-/// recognition shortcut, not the capacity story.
+/// Entry bound of the source memo (daemon.h): the memo is a recognition
+/// shortcut, not the capacity story.
 constexpr std::size_t memo_entry_limit = 1 << 16;
 
 unsigned parse_fault_index(std::string_view text, std::string_view rule) {
@@ -216,13 +218,17 @@ response service::overloaded_response(std::uint64_t seq) const {
 void service::complete(response r, const callback& done,
                        clock_type::time_point admitted_at) {
   latency_.record(millis_since(admitted_at));
+  // The admission slot frees before the callback, so a client that bounds
+  // itself by its own callbacks is never shed, even when it submits from
+  // inside one.
+  queue_depth_.fetch_sub(1, std::memory_order_acq_rel);
   if (done) done(std::move(r));
   {
-    // completed_ advances under the drain mutex so drain()'s predicate and
-    // the notify can never miss each other.
+    // completed_ advances after the callback (drain() waits for callbacks)
+    // and under the drain mutex, so drain()'s predicate and the notify can
+    // never miss each other.
     const std::lock_guard<std::mutex> lock(drain_mutex_);
     completed_.fetch_add(1, std::memory_order_release);
-    queue_depth_.fetch_sub(1, std::memory_order_acq_rel);
   }
   drained_.notify_all();
 }
@@ -238,25 +244,39 @@ std::size_t service::flush_disk() { return disk_ != nullptr ? disk_->flush() : 0
 
 source_info service::lookup_source(const request& req) {
   const std::string sig = req.source_signature();
+  std::optional<std::promise<source_info>> leader; // engaged iff this call hashes
+  std::shared_future<source_info> pending;
   {
     const std::lock_guard<std::mutex> lock(memo_mutex_);
     const auto it = source_memo_.find(sig);
     if (it != source_memo_.end()) return it->second;
+    const auto hashing = hashing_.find(sig);
+    if (hashing != hashing_.end()) {
+      pending = hashing->second;
+    } else {
+      pending = leader.emplace().get_future().share();
+      hashing_.emplace(sig, pending);
+    }
   }
-  // Hash outside the lock (the expensive part); first publisher wins, a
-  // concurrent duplicate hash of the same source is wasted work, not a bug.
+  // A pending hash is always running: its leader registered it inside its
+  // own job, so this wait terminates.
+  if (!leader) return pending.get();
+  // Hash outside the lock (the expensive part).
   source_info info = hash_request_source(req);
-  const std::lock_guard<std::mutex> lock(memo_mutex_);
-  if (source_memo_.size() > memo_entry_limit ||
-      source_memo_bytes_ > std::max<std::size_t>(options_.cache_bytes, 8ull << 20)) {
-    source_memo_.clear();
-    source_memo_bytes_ = 0;
-  }
-  const auto [it, inserted] = source_memo_.try_emplace(sig, info);
-  if (inserted)
+  {
+    const std::lock_guard<std::mutex> lock(memo_mutex_);
+    hashing_.erase(sig);
+    if (source_memo_.size() > memo_entry_limit ||
+        source_memo_bytes_ > std::max<std::size_t>(options_.cache_bytes, 8ull << 20)) {
+      source_memo_.clear();
+      source_memo_bytes_ = 0;
+    }
+    source_memo_.emplace(sig, info);
     source_memo_bytes_ += sig.size() + info.error.size() +
                           info.canonical_of.size() * sizeof(std::uint32_t) +
                           sizeof(source_info) + 64;
+  }
+  leader->set_value(info);
   return info;
 }
 
@@ -460,41 +480,49 @@ std::string render_response(const response& r, bool emit_schedule) {
   return std::move(oss).str();
 }
 
-/// Serializes response frames either immediately (streaming) or through a
-/// reorder buffer that releases strictly by sequence number (input-order
-/// mode). Control frames (stats, transport errors, the shutdown ack)
-/// always bypass the reorder buffer - they answer "now", not "in turn".
-/// A failed write (peer gone) is sticky: subsequent frames are counted as
-/// produced but silently discarded, so workers finishing after the client
-/// died still complete and the connection still drains.
-struct frame_writer {
-  frame_writer(byte_stream& o, bool order_responses) : out(o), ordered(order_responses) {}
+/// Writes responses either immediately (streaming) or through a reorder
+/// buffer that releases strictly by turn, 1, 2, 3, ... (input-order mode).
+/// `write` puts one payload on the wire: a frame for the daemon, a line for
+/// the batch session. Control frames (stats, transport errors, the
+/// shutdown ack) always bypass the reorder buffer - they answer "now", not
+/// "in turn". A failed write (peer gone) is sticky: subsequent payloads
+/// are counted as produced but silently discarded, so workers finishing
+/// after the client died still complete and the session still drains.
+struct ordered_writer {
+  using write_fn = std::function<bool(std::string_view)>;
 
-  byte_stream& out;
+  ordered_writer(write_fn w, bool order_responses)
+      : write(std::move(w)), ordered(order_responses) {}
+
+  write_fn write;
   bool ordered;
   std::mutex mutex;
-  std::uint64_t next_seq = 1;
+  std::uint64_t next_turn = 1;
   std::map<std::uint64_t, std::string> held;
   std::uint64_t written = 0;
   bool failed = false;
 
   void send(std::string_view payload) {
-    if (!failed && !write_frame(out, payload)) failed = true;
+    if (!failed && !write(payload)) failed = true;
     ++written;
   }
 
-  void emit(std::uint64_t seq, std::string payload) {
+  /// Returns how many payloads this call put on the wire.
+  std::size_t emit(std::uint64_t turn, std::string payload) {
     const std::lock_guard<std::mutex> lock(mutex);
     if (!ordered) {
       send(payload);
-      return;
+      return 1;
     }
-    held.emplace(seq, std::move(payload));
-    while (!held.empty() && held.begin()->first == next_seq) {
+    held.emplace(turn, std::move(payload));
+    std::size_t released = 0;
+    while (!held.empty() && held.begin()->first == next_turn) {
       send(held.begin()->second);
       held.erase(held.begin());
-      ++next_seq;
+      ++next_turn;
+      ++released;
     }
+    return released;
   }
 
   void control(std::string_view payload) {
@@ -503,33 +531,51 @@ struct frame_writer {
   }
 };
 
-/// Per-connection drain: serve_connection must wait for *its own* admitted
-/// requests only, so one dead or slow connection can never make another
-/// connection's drain wait on it (service::drain() is global). Incremented
-/// before submit, decremented by the completion callback (or by the
-/// submitter itself when the request was shed and the callback will never
-/// fire).
+/// A session's count of requests whose response is not yet written:
+/// serve_connection and serve_batch wait on *their own* requests only, so
+/// one dead or slow client can never make another client's drain wait on
+/// it (service::drain() is global). Armed before submit, disarmed as the
+/// response goes out - by the completion callback, or by the submitter
+/// itself when the request was shed and the callback will never fire.
 struct pending_gate {
   std::mutex mutex;
-  std::condition_variable done;
+  std::condition_variable changed;
   std::size_t outstanding = 0;
 
   void arm() {
     const std::lock_guard<std::mutex> lock(mutex);
     ++outstanding;
   }
-  void disarm() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      --outstanding;
-    }
-    done.notify_all();
+  /// Notifies while holding the lock: a waiter that sees zero may destroy
+  /// the gate at once, so a notify after unlocking could touch a dead
+  /// condition variable.
+  void disarm(std::size_t n = 1) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    outstanding -= n;
+    changed.notify_all();
   }
-  void wait() {
+  void wait_below(std::size_t bound) {
     std::unique_lock<std::mutex> lock(mutex);
-    done.wait(lock, [&] { return outstanding == 0; });
+    changed.wait(lock, [&] { return outstanding < bound; });
   }
+  void wait() { wait_below(1); }
 };
+
+/// Submits one request whose response `writer` releases in turn `turn`;
+/// `unwritten` counts it until that response is on the wire. A shed
+/// request is answered with the overloaded response in its turn.
+void submit_in_turn(service& svc, std::uint64_t seq, std::uint64_t turn, std::string text,
+                    ordered_writer& writer, pending_gate& unwritten) {
+  const bool emit_schedule = svc.options().emit_schedule;
+  // After an emit that released nothing, touch nothing: whoever released
+  // this response may already have ended the session.
+  const auto emit = [&writer, &unwritten, turn, emit_schedule](const response& r) {
+    const std::size_t released = writer.emit(turn, render_response(r, emit_schedule));
+    if (released > 0) unwritten.disarm(released);
+  };
+  unwritten.arm();
+  if (!svc.submit(seq, std::move(text), emit)) emit(svc.overloaded_response(seq));
+}
 
 } // namespace
 
@@ -537,9 +583,9 @@ connection_summary serve_connection(byte_stream& stream, service& svc,
                                     const connection_options& options,
                                     connection_counters* counters) {
   connection_summary summary;
-  frame_writer writer(stream, options.ordered);
+  ordered_writer writer([&stream](std::string_view p) { return write_frame(stream, p); },
+                        options.ordered);
   pending_gate pending;
-  const bool emit_schedule = options.emit_schedule;
   std::uint64_t seq = 0;
 
   for (;;) {
@@ -557,7 +603,7 @@ connection_summary serve_connection(byte_stream& stream, service& svc,
       response r;
       r.id = "transport";
       r.error = frame.error;
-      writer.control(render_response(r, emit_schedule));
+      writer.control(render_response(r, svc.options().emit_schedule));
       break;
     }
     ++summary.frames;
@@ -595,19 +641,9 @@ connection_summary serve_connection(byte_stream& stream, service& svc,
       continue;
     }
 
-    const std::uint64_t this_seq = ++seq;
+    ++seq;
     ++summary.requests;
-    pending.arm();
-    const bool admitted = svc.submit(
-        this_seq, std::move(frame.payload),
-        [&writer, &pending, emit_schedule](response r) {
-          writer.emit(r.line, render_response(r, emit_schedule));
-          pending.disarm();
-        });
-    if (!admitted) {
-      pending.disarm();
-      writer.emit(this_seq, render_response(svc.overloaded_response(this_seq), emit_schedule));
-    }
+    submit_in_turn(svc, seq, seq, std::move(frame.payload), writer, pending);
   }
 
   // Graceful drain: every request admitted on this connection answers
@@ -639,10 +675,9 @@ daemon_summary run_daemon(std::istream& in, std::ostream& out,
 
   connection_options copt;
   copt.ordered = options.ordered;
-  copt.emit_schedule = options.service.emit_schedule;
   copt.limits = options.limits;
   const connection_summary conn = serve_connection(stream, svc, copt, &counters);
-  // The connection gate releases when the last callback returns; the
+  // The connection gate releases when the last response is written; the
   // service-level drain additionally orders the counter updates behind it,
   // so summary.stats below is a settled snapshot.
   svc.drain();
@@ -657,6 +692,28 @@ daemon_summary run_daemon(std::istream& in, std::ostream& out,
   summary.stats = svc.stats();
   summary.conns = snapshot(counters);
   return summary;
+}
+
+std::uint64_t serve_batch(std::istream& in, std::ostream& out, service& svc) {
+  ordered_writer writer(
+      [&out](std::string_view p) { return static_cast<bool>(out << p << '\n'); },
+      /*order_responses=*/true);
+  // Requests submitted but not yet written. Bounding them by the queue
+  // capacity bounds the reorder buffer, and the service's queue depth too:
+  // a slot frees before its callback, and a response is written no earlier
+  // than its own callback.
+  pending_gate unwritten;
+  const std::size_t window = svc.options().queue_capacity;
+  std::uint64_t turn = 0;
+  std::size_t line_no = 0;
+  for (std::string text; std::getline(in, text);) {
+    ++line_no;
+    if (text.empty()) continue;
+    unwritten.wait_below(window);
+    submit_in_turn(svc, line_no, ++turn, std::move(text), writer, unwritten);
+  }
+  unwritten.wait();
+  return turn;
 }
 
 } // namespace softsched::serve

@@ -1,9 +1,9 @@
-// daemon.h - the resident scheduling service behind `softsched_cli --serve`
-// (ROADMAP item 1): the batch engine's pipeline reshaped for a long-lived
-// process where tail latency under overload, not warm-cache throughput, is
-// the headline number.
+// daemon.h - the one scheduling service and its two front-ends:
+// `softsched_cli --serve` (the resident daemon) and `--serve-batch` (a
+// one-shot JSONL session). Both run every request through the same
+// service::process pipeline, so they emit the same payload bytes.
 //
-// Two layers:
+// Three layers:
 //
 //   * `service` - the transport-free core. submit() runs admission control
 //     (a bounded queue; at capacity the request is shed immediately with
@@ -18,15 +18,19 @@
 //     admitted request has responded. Live counters and a lock-light
 //     latency histogram (serve/metrics.h) feed stats().
 //
-//   * `run_daemon` - the framed front-end: reads `<count>\n<payload>\n`
-//     frames (serve/transport.h) from a stream, sniffs control ops
-//     ({"op":"stats"} / {"op":"shutdown"}), submits everything else to the
-//     service, and writes response frames either as they complete
-//     (streaming, the default) or in input order behind a reorder buffer
-//     (--serve-ordered: byte-identical payloads to --serve-batch, the PR-4
-//     determinism contract). EOF, shutdown and transport errors all end in
-//     the same graceful drain: every admitted request gets its response
-//     before the daemon returns.
+//   * `serve_connection` / `run_daemon` - the framed front-end: reads
+//     `<count>\n<payload>\n` frames (serve/transport.h) from a stream,
+//     sniffs control ops ({"op":"stats"} / {"op":"shutdown"}), submits
+//     everything else to the service, and writes response frames either as
+//     they complete (streaming, the default) or in input order behind a
+//     reorder buffer (--serve-ordered). EOF, shutdown and transport errors
+//     all end in the same graceful drain: every admitted request gets its
+//     response before the daemon returns.
+//
+//   * `serve_batch` - the JSONL front-end behind --serve-batch: one line per
+//     request in, one line per response out, in input order, through the
+//     same reorder buffer. It bounds its own in-flight window by the queue
+//     capacity, so it never sheds.
 //
 // Fault injection: a fault_plan (usually parsed from the SOFTSCHED_INJECT
 // environment knob) deterministically delays or fails chosen *worker
@@ -132,16 +136,16 @@ struct service_options {
   std::size_t disk_cache_bytes = 0;
   std::size_t disk_flush_queue = 256; ///< write-behind bound (>= 1)
 
-  // Per-worker scheduling arenas (docs/DESIGN.md §8), same semantics as
-  // engine_options: off = the cross-validated heap baseline; the mode can
-  // never change a response byte.
+  // Per-worker scheduling arenas (docs/DESIGN.md §8). Off = the heap
+  // baseline the nightly storm cross-validates against; the mode can never
+  // change a response byte, only allocation traffic and `ms`.
   bool arena = true;
   std::size_t arena_block_bytes = 0; ///< 0 = util::arena::default_block_bytes
 };
 
-/// The resident scheduling service: bounded-queue admission, streaming
-/// completion callbacks, graceful drain. Thread-safe: submit() may be
-/// called from any number of client threads.
+/// The scheduling service: bounded-queue admission, streaming completion
+/// callbacks, graceful drain. Thread-safe: submit() may be called from any
+/// number of client threads.
 class service {
 public:
   /// Completion callback: fires exactly once per admitted request, on a
@@ -161,7 +165,10 @@ public:
   /// slot for fault injection). Returns true when admitted - `done` will
   /// fire exactly once. Returns false when the queue is at capacity: the
   /// request was shed, `done` never fires, and the caller should answer
-  /// with overloaded_response(seq).
+  /// with overloaded_response(seq). A request's admission slot frees
+  /// before its callback runs, so a client that never has more than
+  /// queue_capacity requests without a callback is never shed - even when
+  /// it submits from inside a callback.
   [[nodiscard]] bool submit(std::uint64_t seq, std::string text, callback done);
 
   /// The shed-request response: `"error":"overloaded"` with the
@@ -203,6 +210,8 @@ private:
                std::chrono::steady_clock::time_point admitted_at);
   void complete(response r, const callback& done,
                 std::chrono::steady_clock::time_point admitted_at);
+  /// The request's source identity, hashed once per distinct source:
+  /// concurrent first asks for one signature wait on the first one's hash.
   [[nodiscard]] source_info lookup_source(const request& req);
   /// Pool worker i owns contexts_[i]; any non-pool thread the extra slot.
   [[nodiscard]] sched::run_context& context_for_current_thread() noexcept;
@@ -216,9 +225,10 @@ private:
   std::vector<std::unique_ptr<sched::run_context>> contexts_;
   std::chrono::steady_clock::time_point started_at_;
 
-  // Admission + drain bookkeeping. queue_depth_ = admitted - completed;
-  // admission is one fetch_add with a rollback, so shedding never takes a
-  // lock. peak_queue_depth_ witnesses boundedness for the load harness.
+  // Admission + drain bookkeeping. queue_depth_ = admitted requests whose
+  // callback has not started; admission is one fetch_add with a rollback,
+  // so shedding never takes a lock. peak_queue_depth_ witnesses
+  // boundedness for the load harness.
   std::atomic<std::size_t> queue_depth_{0};
   std::atomic<std::size_t> peak_queue_depth_{0};
   std::atomic<std::uint64_t> submitted_{0};
@@ -233,11 +243,17 @@ private:
   mutable std::mutex drain_mutex_;
   std::condition_variable drained_;
 
-  // Source-signature -> source_info memo (the engine's memo, made
-  // thread-safe): each distinct design is hashed once. Same bounds as the
-  // engine: entry count and bytes, wiped when either trips.
+  // Source-signature -> source_info memo: each distinct design is hashed
+  // once, then recognized by signature; hashing_ holds the hashes still
+  // running, so concurrent first asks join one instead of hashing again
+  // (the flight pattern below). Bounded by entry count AND bytes
+  // (signatures embed raw .dfg text and the canonical_of maps scale with
+  // design size, so a stream of distinct large inline designs must not
+  // grow memory past the operator's cache budget); wiped when either bound
+  // trips - the schedule cache, not the memo, is the capacity story.
   std::mutex memo_mutex_;
   std::unordered_map<std::string, source_info> source_memo_;
+  std::unordered_map<std::string, std::shared_future<source_info>> hashing_;
   std::size_t source_memo_bytes_ = 0;
 
   // Key -> in-flight computation. The leader inserts a promise before
@@ -249,14 +265,15 @@ private:
       flights_;
 };
 
-/// Everything the daemon front-end needs beyond the service core - the one
-/// parsed struct the CLI flag surface (--serve-queue, --serve-ordered,
-/// --listen, --max-conns, cache flags) collapses into. Built and validated
-/// exclusively by serve/options.h, so CLI and tests share one error path.
+/// Everything either front-end needs - the one parsed struct the CLI flag
+/// surface (--serve-queue, --serve-ordered, --listen, --max-conns, cache
+/// flags) collapses into. --serve-batch reads only `service`. Built and
+/// validated exclusively by serve/options.h, so CLI and tests share one
+/// error path.
 struct daemon_options {
   service_options service;
-  bool ordered = false; ///< input-order responses (PR-4 determinism contract)
-                        ///< instead of streaming-as-completed
+  bool ordered = false; ///< input-order responses instead of
+                        ///< streaming-as-completed
   frame_limits limits;
   std::size_t max_connections = 64; ///< socket front-ends: accepted-but-open
                                     ///< bound; beyond it connections shed
@@ -272,10 +289,10 @@ enum class connection_end {
   transport_error ///< malformed frame: answered once, drained, closed
 };
 
-/// Knobs of one connection (a slice of daemon_options).
+/// Knobs of one connection (a slice of daemon_options; response shape and
+/// the retry hint come from the service's own options).
 struct connection_options {
   bool ordered = false;
-  bool emit_schedule = true;
   frame_limits limits;
 };
 
@@ -320,5 +337,17 @@ struct daemon_summary {
 /// docs/SERVING.md §"Wire protocol".
 daemon_summary run_daemon(std::istream& in, std::ostream& out,
                           const daemon_options& options = {});
+
+/// One --serve-batch session: submits every non-blank line of `in` to
+/// `svc` under its 1-based line number and writes one response line per
+/// request to `out`, in input order. Blank lines are skipped but still
+/// count toward line numbers; a malformed line answers with an error on
+/// its own line. At most svc.options().queue_capacity requests are
+/// submitted but not yet written at any time, so a session that is the
+/// service's only client is never shed (a service shared with other
+/// clients may still shed a line; it is answered with the overloaded
+/// response in its turn). Returns once every response is written; the
+/// number of requests submitted.
+std::uint64_t serve_batch(std::istream& in, std::ostream& out, service& svc);
 
 } // namespace softsched::serve

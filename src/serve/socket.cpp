@@ -439,7 +439,7 @@ socket_server_summary socket_server::run() {
     if (active > d.options.max_connections) {
       d.counters.active.fetch_sub(1, std::memory_order_acq_rel);
       d.counters.shed.fetch_add(1, std::memory_order_relaxed);
-      (void)write_frame(*stream, render_connection_shed(d.options.retry_after_ms));
+      (void)write_frame(*stream, render_connection_shed(d.svc.options().retry_after_ms));
       d.counters.bytes_out.fetch_add(stream->bytes_out(), std::memory_order_relaxed);
       d.counters.closed.fetch_add(1, std::memory_order_relaxed);
       continue;

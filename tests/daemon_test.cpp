@@ -1,7 +1,8 @@
 // daemon_test.cpp - the resident scheduling daemon: frame codec round
 // trips and hostile-input rejection, the bounded-queue admission boundary,
-// streaming vs input-order response parity (and parity with the batch
-// engine), stats-counter consistency under concurrent clients, graceful
+// streaming vs input-order response parity (and parity with the
+// --serve-batch session), stats-counter consistency under concurrent
+// clients, many short connections on one service, graceful
 // drain, the lock-light latency histogram against a sorted-vector oracle,
 // the SOFTSCHED_INJECT fault plan (grammar + slot/shard/conn injection
 // semantics), the --listen/--serve flag surface (serve/options.h), and the
@@ -23,8 +24,8 @@
 #include <thread>
 #include <vector>
 
+#include "batch_session.h"
 #include "serve/daemon.h"
-#include "serve/engine.h"
 #include "serve/metrics.h"
 #include "serve/options.h"
 #include "serve/protocol.h"
@@ -354,6 +355,29 @@ TEST(ServeService, AdmissionBoundaryShedsAtExactlyFullAndRecoversAfterDrain) {
   EXPECT_EQ(s.queue_depth, 0u);
 }
 
+TEST(ServeService, SubmitFromInsideTheCallbackIsAdmittedAtCapacityOne) {
+  // A client that never has more than queue_capacity requests without a
+  // callback must never be shed - even when it submits from inside one:
+  // the admission slot frees before the callback runs.
+  sv::service_options opt;
+  opt.jobs = 1;
+  opt.queue_capacity = 1;
+  sv::service svc(opt);
+  collector got;
+  std::atomic<int> resubmitted{-1};
+  ASSERT_TRUE(svc.submit(1, R"({"bench":"fig1"})", [&](sv::response r) {
+    resubmitted = svc.submit(2, R"({"bench":"fig1"})", got.sink()) ? 1 : 0;
+    got.sink()(std::move(r));
+  }));
+  svc.drain(); // request 1, whose callback admitted request 2
+  svc.drain(); // request 2
+  EXPECT_EQ(resubmitted.load(), 1);
+  EXPECT_EQ(got.responses.size(), 2u);
+  const sv::service_stats s = svc.stats();
+  EXPECT_EQ(s.overloaded, 0u);
+  EXPECT_EQ(s.peak_queue_depth, 1u);
+}
+
 TEST(ServeService, OverloadedResponseCarriesRetryAfterHint) {
   sv::service_options opt;
   opt.jobs = 1;
@@ -597,7 +621,7 @@ TEST(ServeDaemon, OrderedAndStreamingModesAgreeOnPayloads) {
 }
 
 TEST(ServeDaemon, OrderedModeMatchesBatchEngineByteForByte) {
-  // The PR-4 determinism contract, engine edition: --serve --serve-ordered
+  // The determinism contract across front-ends: --serve --serve-ordered
   // must be indistinguishable from --serve-batch modulo the ms field.
   const std::vector<std::string> lines = {
       R"({"id":"a","bench":"ewf"})",
@@ -607,19 +631,10 @@ TEST(ServeDaemon, OrderedModeMatchesBatchEngineByteForByte) {
       R"(not json)",
       R"({"id":"d","random":120,"seed":5})",
   };
-  sv::engine_options eopt;
-  eopt.jobs = 1;
-  sv::engine eng(eopt);
-  std::string jsonl;
-  for (const std::string& l : lines) jsonl += l + "\n";
-  std::istringstream batch_in(jsonl);
-  std::ostringstream batch_out;
-  (void)eng.run_stream(batch_in, batch_out);
-  std::vector<std::string> batch_lines;
-  {
-    std::istringstream split(batch_out.str());
-    for (std::string l; std::getline(split, l);) batch_lines.push_back(strip_ms(l));
-  }
+  sv::service_options batch_opt;
+  batch_opt.jobs = 1;
+  std::vector<std::string> session_lines = batch_session::run(batch_opt, lines);
+  for (std::string& l : session_lines) l = strip_ms(l);
 
   std::istringstream daemon_in(framed(lines));
   std::ostringstream daemon_out;
@@ -630,9 +645,68 @@ TEST(ServeDaemon, OrderedModeMatchesBatchEngineByteForByte) {
   std::vector<std::string> daemon_lines = unframed(daemon_out.str());
   for (std::string& p : daemon_lines) p = strip_ms(p);
 
-  ASSERT_EQ(daemon_lines.size(), batch_lines.size());
+  ASSERT_EQ(daemon_lines.size(), session_lines.size());
   for (std::size_t i = 0; i < daemon_lines.size(); ++i)
-    EXPECT_EQ(daemon_lines[i], batch_lines[i]) << "line " << i;
+    EXPECT_EQ(daemon_lines[i], session_lines[i]) << "line " << i;
+}
+
+TEST(ServeDaemon, ManyOneRequestConnectionsOnOneServiceEachDrainTheirOwn) {
+  // Each connection's pending gate dies as soon as serve_connection
+  // returns, while the worker that answered it may still be inside its
+  // completion callback. Hundreds of short connections from several client
+  // threads against two workers turn the gates over fast, which is where a
+  // gate touched after its last disarm shows up under the sanitizers.
+  sv::service_options opt;
+  opt.jobs = 2;
+  sv::service svc(opt);
+  constexpr int clients = 4;
+  constexpr int per_client = 100;
+  std::atomic<int> answered{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < clients; ++c)
+    threads.emplace_back([&, c] {
+      for (int i = 0; i < per_client; ++i) {
+        const std::string id = std::to_string(c) + "-" + std::to_string(i);
+        std::istringstream in(framed({R"({"id":")" + id + R"(","bench":"fig1"})"}));
+        std::ostringstream out;
+        sv::iostream_byte_stream stream(&in, &out);
+        const sv::connection_summary s =
+            sv::serve_connection(stream, svc, sv::connection_options{});
+        if (s.end == sv::connection_end::eof && s.responses == 1 &&
+            out.str().find("\"id\":\"" + id + "\"") != std::string::npos)
+          answered.fetch_add(1);
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  svc.drain();
+  EXPECT_EQ(answered.load(), clients * per_client);
+  const sv::service_stats s = svc.stats();
+  EXPECT_EQ(s.completed, static_cast<std::uint64_t>(clients * per_client));
+  EXPECT_EQ(s.errors + s.overloaded, 0u);
+}
+
+TEST(ServeBatch, NarrowQueueNeverShedsAndAnswersInInputOrder) {
+  // The batch session bounds its own window by the queue capacity, so it
+  // is never shed - even with more workers than slots and an injected
+  // delay reordering completions behind the reorder buffer.
+  sv::service_options opt;
+  opt.jobs = 4;
+  opt.queue_capacity = 2;
+  opt.faults = sv::fault_plan::parse("slot=0:delay_ms=2");
+  sv::service svc(opt);
+  std::vector<std::string> lines;
+  for (int i = 0; i < 24; ++i)
+    lines.push_back(i % 2 == 0 ? R"({"bench":"fig1"})" : R"({"bench":"hal","alus":1})");
+  const std::vector<std::string> out = batch_session::run(svc, lines);
+  ASSERT_EQ(out.size(), lines.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const json_value v = parse_json(out[i]);
+    EXPECT_EQ(v.find("line")->as_integer(1, 100), static_cast<long long>(i + 1));
+    EXPECT_EQ(v.find("error"), nullptr) << out[i];
+  }
+  const sv::service_stats s = svc.stats();
+  EXPECT_EQ(s.overloaded, 0u);
+  EXPECT_LE(s.peak_queue_depth, 2u);
 }
 
 TEST(ServeDaemon, StatsControlFrameReportsLiveCounters) {
@@ -812,6 +886,8 @@ TEST(ServeFlags, ValidationIsOneSharedErrorPath) {
 }
 
 TEST(ServeFlags, MapIntoEngineAndDaemonOptions) {
+  // One options surface: --serve uses all of daemon_options, --serve-batch
+  // its service half.
   sv::serve_flags f;
   f.jobs = 3;
   f.cache_mb = 8;
@@ -820,18 +896,21 @@ TEST(ServeFlags, MapIntoEngineAndDaemonOptions) {
   f.serve_compact = true;
   f.max_conns = 5;
   f.listen = "unix:/tmp/softsched-flags.sock";
+  f.cache_dir = "store";
+  f.disk_cache_mb = 2;
+  f.arena = "4096";
   const sv::daemon_options d = sv::daemon_options_from_flags(f);
   EXPECT_EQ(d.service.jobs, 3);
   EXPECT_EQ(d.service.cache_bytes, 8u << 20);
   EXPECT_EQ(d.service.queue_capacity, 32u);
   EXPECT_FALSE(d.service.emit_schedule);
+  EXPECT_EQ(d.service.cache_dir, "store");
+  EXPECT_EQ(d.service.disk_cache_bytes, 2u << 20);
+  EXPECT_TRUE(d.service.arena);
+  EXPECT_EQ(d.service.arena_block_bytes, 4096u);
   EXPECT_TRUE(d.ordered);
   EXPECT_EQ(d.max_connections, 5u);
   EXPECT_EQ(sv::listen_from_flags(f).path, "/tmp/softsched-flags.sock");
-  const sv::engine_options e = sv::engine_options_from_flags(f);
-  EXPECT_EQ(e.cache_bytes, 8u << 20);
-  EXPECT_FALSE(e.emit_schedule);
-  EXPECT_EQ(e.jobs, 3);
 }
 
 // -- conn= fault grammar ----------------------------------------------------
@@ -1049,9 +1128,9 @@ TEST(SocketDaemon, ConnectionLimitShedsBeyondMaxConns) {
   // conn=1 stalls before its first read while holding the only slot - the
   // deterministic pin for the shed boundary.
   sopt.faults = sv::fault_plan::parse("conn=1:stall_ms=250");
+  sopt.retry_after_ms = 7; // the connection shed frame carries the service's hint
   sv::socket_server_options opt;
   opt.max_connections = 1;
-  opt.retry_after_ms = 7;
   socket_daemon daemon(spec, sopt, opt);
   const std::unique_ptr<sv::byte_stream> first = connect_client(spec);
   ASSERT_NE(first, nullptr);

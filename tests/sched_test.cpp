@@ -28,7 +28,8 @@
 #include "ir/benchmarks.h"
 #include "ir/dfg_hash.h"
 #include "sched/backend.h"
-#include "serve/engine.h"
+#include "batch_session.h"
+#include "serve/daemon.h"
 #include "util/check.h"
 
 namespace ss = softsched::sched;
@@ -532,103 +533,108 @@ TEST(SchedIter, NeverWorseThanSoftAcrossTheNamedGrid) {
 
 namespace {
 
-std::vector<sv::response> collect(sv::engine& eng, const std::string& text) {
-  std::istringstream in(text);
-  return eng.run_collect(in);
+namespace bs = batch_session;
+
+/// One batch session of `lines` on a fresh default service, parsed.
+std::vector<softsched::json_value> collect(const std::vector<std::string>& lines) {
+  return bs::parsed(bs::run(sv::service_options{}, lines));
 }
+
+std::string key_of(const softsched::json_value& r) { return bs::text(r, "key"); }
 
 } // namespace
 
 TEST(SchedServe, IdenticalDesignsUnderDifferentBackendsGetDistinctKeys) {
-  sv::engine eng;
-  const std::vector<sv::response> rs = collect(
-      eng, "{\"bench\":\"ewf\"}\n"
-           "{\"bench\":\"ewf\",\"backend\":\"soft\"}\n"
-           "{\"bench\":\"ewf\",\"backend\":\"list\"}\n"
-           "{\"bench\":\"ewf\",\"backend\":\"fds\"}\n"
-           "{\"bench\":\"ewf\",\"backend\":\"list\",\"meta\":\"dfs\"}\n");
+  const auto rs = collect({
+      R"({"bench":"ewf"})",
+      R"({"bench":"ewf","backend":"soft"})",
+      R"({"bench":"ewf","backend":"list"})",
+      R"({"bench":"ewf","backend":"fds"})",
+      R"({"bench":"ewf","backend":"list","meta":"dfs"})",
+  });
   ASSERT_EQ(rs.size(), 5u);
-  for (const sv::response& r : rs) ASSERT_TRUE(r.error.empty()) << r.error;
+  for (const softsched::json_value& r : rs)
+    ASSERT_EQ(r.find("error"), nullptr) << bs::text(r, "error");
   // Default backend is soft: lines 1 and 2 share one key (and dedup).
-  EXPECT_EQ(rs[0].key, rs[1].key);
-  EXPECT_EQ(rs[0].backend, "soft");
+  EXPECT_EQ(key_of(rs[0]), key_of(rs[1]));
+  EXPECT_EQ(bs::text(rs[0], "backend"), "soft");
   // Distinct backends never share a cache entry.
-  EXPECT_NE(rs[1].key, rs[2].key);
-  EXPECT_NE(rs[1].key, rs[3].key);
-  EXPECT_NE(rs[2].key, rs[3].key);
+  EXPECT_NE(key_of(rs[1]), key_of(rs[2]));
+  EXPECT_NE(key_of(rs[1]), key_of(rs[3]));
+  EXPECT_NE(key_of(rs[2]), key_of(rs[3]));
   // The meta order is ignored by hard backends, so it does not fragment
   // their cache entries: list+dfs coalesces onto list+default.
-  EXPECT_EQ(rs[4].key, rs[2].key);
+  EXPECT_EQ(key_of(rs[4]), key_of(rs[2]));
   // And the schedules really came from different schedulers: the list
   // backend binds units, fds does not, soft carries kernel stats.
-  EXPECT_EQ(rs[2].backend, "list");
-  ASSERT_TRUE(rs[2].result.feasible);
-  for (const int u : rs[2].result.unit_of) EXPECT_GE(u, 0);
-  ASSERT_TRUE(rs[3].result.feasible);
-  for (const int u : rs[3].result.unit_of) EXPECT_EQ(u, -1);
-  EXPECT_GT(rs[0].result.stats.commits, 0u);
-  EXPECT_EQ(rs[2].result.stats.commits, 0u);
+  EXPECT_EQ(bs::text(rs[2], "backend"), "list");
+  ASSERT_TRUE(rs[2].find("feasible")->as_bool());
+  for (const long long u : bs::numbers(rs[2], "unit")) EXPECT_GE(u, 0);
+  ASSERT_TRUE(rs[3].find("feasible")->as_bool());
+  for (const long long u : bs::numbers(rs[3], "unit")) EXPECT_EQ(u, -1);
+  EXPECT_GT(rs[0].find("stats")->find("commits")->as_number(), 0);
+  EXPECT_EQ(rs[2].find("stats")->find("commits")->as_number(), 0);
 }
 
 TEST(SchedServe, BudgetSweepsAndMixedBatchesNeverCoalesceInTheCache) {
   // The widened-salt regression: a budget sweep against sdc-iter gets one
   // cache entry per budget, -1/default/explicit-8 share exactly one, and a
   // mixed-backend batch over one design keeps every backend distinct.
-  sv::engine eng;
-  const std::vector<sv::response> rs = collect(
-      eng, "{\"bench\":\"hal\",\"backend\":\"sdc-iter\",\"iter_budget\":0}\n"
-           "{\"bench\":\"hal\",\"backend\":\"sdc-iter\",\"iter_budget\":1}\n"
-           "{\"bench\":\"hal\",\"backend\":\"sdc-iter\",\"iter_budget\":4}\n"
-           "{\"bench\":\"hal\",\"backend\":\"sdc-iter\"}\n"
-           "{\"bench\":\"hal\",\"backend\":\"sdc-iter\",\"iter_budget\":8}\n"
-           "{\"bench\":\"hal\",\"backend\":\"soft\"}\n"
-           "{\"bench\":\"hal\",\"backend\":\"list\"}\n"
-           "{\"bench\":\"hal\",\"backend\":\"fds\"}\n");
+  const auto rs = collect({
+      R"({"bench":"hal","backend":"sdc-iter","iter_budget":0})",
+      R"({"bench":"hal","backend":"sdc-iter","iter_budget":1})",
+      R"({"bench":"hal","backend":"sdc-iter","iter_budget":4})",
+      R"({"bench":"hal","backend":"sdc-iter"})",
+      R"({"bench":"hal","backend":"sdc-iter","iter_budget":8})",
+      R"({"bench":"hal","backend":"soft"})",
+      R"({"bench":"hal","backend":"list"})",
+      R"({"bench":"hal","backend":"fds"})",
+  });
   ASSERT_EQ(rs.size(), 8u);
-  for (const sv::response& r : rs) ASSERT_TRUE(r.error.empty()) << r.error;
+  for (const softsched::json_value& r : rs)
+    ASSERT_EQ(r.find("error"), nullptr) << bs::text(r, "error");
   // Budgets 0, 1, 4, default: four distinct keys.
-  const std::set<si::dfg_digest> budget_keys{rs[0].key, rs[1].key, rs[2].key,
-                                             rs[3].key};
+  const std::set<std::string> budget_keys{key_of(rs[0]), key_of(rs[1]), key_of(rs[2]),
+                                          key_of(rs[3])};
   EXPECT_EQ(budget_keys.size(), 4u);
   // Default (-1) and explicit 8 coalesce onto one entry.
-  EXPECT_EQ(rs[3].key, rs[4].key);
+  EXPECT_EQ(key_of(rs[3]), key_of(rs[4]));
   // Mixed backends on the same design never share an entry, including the
   // new one: 4 backends, 4 keys (sdc-iter keyed at its default budget).
-  const std::set<si::dfg_digest> backend_keys{rs[3].key, rs[5].key, rs[6].key,
-                                              rs[7].key};
+  const std::set<std::string> backend_keys{key_of(rs[3]), key_of(rs[5]), key_of(rs[6]),
+                                           key_of(rs[7])};
   EXPECT_EQ(backend_keys.size(), 4u);
   // Budget 0 really served the soft schedule, at its own key.
-  EXPECT_EQ(rs[0].result.latency, rs[5].result.latency);
-  EXPECT_NE(rs[0].key, rs[5].key);
+  EXPECT_EQ(rs[0].find("latency")->as_number(), rs[5].find("latency")->as_number());
+  EXPECT_NE(key_of(rs[0]), key_of(rs[5]));
 }
 
 TEST(SchedServe, IterBudgetOnAOneShotBackendIsAFieldLevelParseError) {
-  sv::engine eng;
-  const std::vector<sv::response> rs = collect(
-      eng, "{\"bench\":\"ewf\",\"backend\":\"list\",\"iter_budget\":4}\n"
-           "{\"bench\":\"ewf\",\"iter_budget\":4}\n"
-           "{\"bench\":\"ewf\",\"backend\":\"sdc-iter\",\"iter_budget\":2000}\n"
-           "{\"bench\":\"ewf\",\"backend\":\"sdc-iter\",\"iter_budget\":-1}\n");
+  const auto rs = collect({
+      R"({"bench":"ewf","backend":"list","iter_budget":4})",
+      R"({"bench":"ewf","iter_budget":4})",
+      R"({"bench":"ewf","backend":"sdc-iter","iter_budget":2000})",
+      R"({"bench":"ewf","backend":"sdc-iter","iter_budget":-1})",
+  });
   ASSERT_EQ(rs.size(), 4u);
   // A budget against a one-shot backend (explicit or defaulted soft) is a
   // request error, not a silently identical schedule.
-  EXPECT_NE(rs[0].error.find("iter_budget"), std::string::npos);
-  EXPECT_NE(rs[0].error.find("iterative"), std::string::npos);
-  EXPECT_NE(rs[1].error.find("iter_budget"), std::string::npos);
+  EXPECT_NE(bs::text(rs[0], "error").find("iter_budget"), std::string::npos);
+  EXPECT_NE(bs::text(rs[0], "error").find("iterative"), std::string::npos);
+  EXPECT_NE(bs::text(rs[1], "error").find("iter_budget"), std::string::npos);
   // Out-of-range budgets are range errors; -1 is not accepted on the wire
   // (omit the field for the default).
-  EXPECT_NE(rs[2].error.find("iter_budget"), std::string::npos);
-  EXPECT_NE(rs[3].error.find("iter_budget"), std::string::npos);
+  EXPECT_NE(bs::text(rs[2], "error").find("iter_budget"), std::string::npos);
+  EXPECT_NE(bs::text(rs[3], "error").find("iter_budget"), std::string::npos);
 }
 
 TEST(SchedServe, UnknownBackendIsAFieldLevelParseError) {
-  sv::engine eng;
-  const std::vector<sv::response> rs =
-      collect(eng, "{\"bench\":\"ewf\",\"backend\":\"threaded\"}\n");
+  const auto rs = collect({R"({"bench":"ewf","backend":"threaded"})"});
   ASSERT_EQ(rs.size(), 1u);
-  EXPECT_NE(rs[0].error.find("backend"), std::string::npos);
-  EXPECT_NE(rs[0].error.find("threaded"), std::string::npos);
-  EXPECT_NE(rs[0].error.find("soft|list|fds|sdc-iter"), std::string::npos);
+  const std::string error = bs::text(rs[0], "error");
+  EXPECT_NE(error.find("backend"), std::string::npos);
+  EXPECT_NE(error.find("threaded"), std::string::npos);
+  EXPECT_NE(error.find("soft|list|fds|sdc-iter"), std::string::npos);
 }
 
 TEST(SchedServe, MixedBackendStreamDeterministicAcrossJobsAndCacheSizes) {
@@ -636,40 +642,34 @@ TEST(SchedServe, MixedBackendStreamDeterministicAcrossJobsAndCacheSizes) {
   // payload-identical for any worker count and any cache budget, on a
   // stream that interleaves backends, repeats designs across backends, and
   // includes an error line.
-  std::string text;
+  std::vector<std::string> lines;
   for (int i = 0; i < 3; ++i)
     for (const char* backend : {"soft", "list", "fds", "sdc-iter"})
-      text += "{\"id\":\"q" + std::to_string(i) + std::string(backend) +
-              "\",\"bench\":\"hal\",\"backend\":\"" + backend +
-              "\",\"alus\":" + std::to_string(2 + i) + ",\"muls\":2}\n";
-  text += "{\"bench\":\"ewf\",\"backend\":\"list\"}\n";
-  text += "{\"bench\":\"ewf\",\"backend\":\"nope\"}\n";
+      lines.push_back("{\"id\":\"q" + std::to_string(i) + std::string(backend) +
+                      "\",\"bench\":\"hal\",\"backend\":\"" + backend +
+                      "\",\"alus\":" + std::to_string(2 + i) + ",\"muls\":2}");
+  lines.push_back(R"({"bench":"ewf","backend":"list"})");
+  lines.push_back(R"({"bench":"ewf","backend":"nope"})");
 
-  sv::engine_options ref_opt;
+  sv::service_options ref_opt;
   ref_opt.jobs = 1;
-  sv::engine reference(ref_opt);
-  const std::vector<sv::response> ref = collect(reference, text);
+  sv::service reference(ref_opt);
+  const std::vector<std::string> ref = bs::strip_ms(bs::run(reference, lines));
   ASSERT_EQ(ref.size(), 14u);
 
   for (const int jobs : {1, 4}) {
     for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{64} << 20}) {
-      sv::engine_options opt;
+      sv::service_options opt;
       opt.jobs = jobs;
       opt.cache_bytes = cache_bytes;
-      sv::engine eng(opt);
-      const std::vector<sv::response> got = collect(eng, text);
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t i = 0; i < ref.size(); ++i)
-        EXPECT_TRUE(ref[i].same_payload(got[i]))
-            << "jobs=" << jobs << " cache=" << cache_bytes << " line " << i + 1;
+      EXPECT_EQ(bs::strip_ms(bs::run(opt, lines)), ref)
+          << "jobs=" << jobs << " cache=" << cache_bytes;
     }
   }
 
   // A hot re-run serves from the cache and still emits identical payloads.
-  const std::vector<sv::response> hot = collect(reference, text);
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_TRUE(ref[i].same_payload(hot[i])) << "hot line " << i + 1;
-  EXPECT_GT(reference.counters().cache_hits, 0u);
+  EXPECT_EQ(bs::strip_ms(bs::run(reference, lines)), ref);
+  EXPECT_GT(reference.stats().cache_hits, 0u);
 }
 
 // -- explore ----------------------------------------------------------------

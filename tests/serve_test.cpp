@@ -1,7 +1,8 @@
 // serve_test.cpp - the batch scheduling service: sharded LRU cache
 // (budget, eviction order, counters, concurrency), strict request parsing,
-// and the engine pipeline (in-flight dedup, cache hits, determinism across
-// worker counts and cache sizes, error routing, JSONL round trip).
+// and the --serve-batch session over the service (identical requests
+// computed once, cache hits, determinism across worker counts and cache
+// sizes, error routing, JSONL round trip).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +13,9 @@
 
 #include "ir/benchmarks.h"
 #include "ir/dfg_io.h"
+#include "batch_session.h"
 #include "serve/cache.h"
-#include "serve/engine.h"
+#include "serve/daemon.h"
 #include "serve/request.h"
 #include "util/json_parse.h"
 #include "util/thread_pool.h"
@@ -39,11 +41,16 @@ sv::schedule_result result_of(long long latency, std::size_t pad = 0) {
   return r;
 }
 
-std::vector<sv::response> run_lines(sv::engine& eng, const std::vector<std::string>& lines) {
-  std::string text;
-  for (const std::string& l : lines) text += l + "\n";
-  std::istringstream in(text);
-  return eng.run_collect(in);
+sv::service_options on_jobs(int jobs) {
+  sv::service_options o;
+  o.jobs = jobs;
+  return o;
+}
+
+/// One batch session against `svc`, its response lines parsed.
+std::vector<softsched::json_value> run_lines(sv::service& svc,
+                                             const std::vector<std::string>& lines) {
+  return batch_session::parsed(batch_session::run(svc, lines));
 }
 
 } // namespace
@@ -206,27 +213,32 @@ TEST(ServeRequest, SourceSignatureSeparatesDesignsAndLatency) {
   EXPECT_NE(a.source_signature(), d.source_signature());
 }
 
-// -- engine -----------------------------------------------------------------
+// -- the batch session ------------------------------------------------------
+//
+// Identical requests are computed once. Whether a repeat joins the leader's
+// flight or hits the cache the leader filled depends on timing, so the tests
+// pin computed and the sum deduped + cache_hits, never the split.
+
+namespace bs = batch_session;
 
 TEST(ServeEngine, DedupsIdenticalInFlightRequests) {
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
-  const auto responses = run_lines(eng, {
-                                            R"({"id":"a","bench":"ewf"})",
-                                            R"({"id":"b","bench":"ewf"})",
-                                            R"({"id":"c","bench":"ewf"})",
-                                            R"({"id":"d","bench":"hal"})",
-                                        });
-  ASSERT_EQ(responses.size(), 4u);
-  EXPECT_EQ(eng.counters().computed, 2u);
-  EXPECT_EQ(eng.counters().deduped, 2u);
-  EXPECT_EQ(responses[0].key, responses[1].key);
-  EXPECT_TRUE(responses[0].result.same_schedule(responses[1].result));
-  EXPECT_TRUE(responses[0].result.same_schedule(responses[2].result));
-  EXPECT_NE(responses[0].key, responses[3].key);
-  EXPECT_TRUE(responses[0].result.feasible);
-  EXPECT_GT(responses[0].result.latency, 0);
+  sv::service svc(on_jobs(1));
+  const std::vector<std::string> lines = bs::run(svc, {
+                                                          R"({"id":"a","bench":"ewf"})",
+                                                          R"({"id":"b","bench":"ewf"})",
+                                                          R"({"id":"c","bench":"ewf"})",
+                                                          R"({"id":"d","bench":"hal"})",
+                                                      });
+  ASSERT_EQ(lines.size(), 4u);
+  const auto rs = bs::parsed(lines);
+  EXPECT_EQ(svc.stats().computed, 2u);
+  EXPECT_EQ(svc.stats().deduped + svc.stats().cache_hits, 2u);
+  EXPECT_EQ(bs::text(rs[0], "key"), bs::text(rs[1], "key"));
+  EXPECT_EQ(bs::result_of(lines[0]), bs::result_of(lines[1]));
+  EXPECT_EQ(bs::result_of(lines[0]), bs::result_of(lines[2]));
+  EXPECT_NE(bs::text(rs[0], "key"), bs::text(rs[3], "key"));
+  EXPECT_TRUE(rs[0].find("feasible")->as_bool());
+  EXPECT_GT(rs[0].find("latency")->as_number(), 0);
 }
 
 TEST(ServeEngine, EquivalentDfgTextUnifiesWithBenchmark) {
@@ -240,18 +252,16 @@ TEST(ServeEngine, EquivalentDfgTextUnifiesWithBenchmark) {
     if (ch == '\n') escaped += "\\n";
     else escaped += ch;
   }
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
+  sv::service svc(on_jobs(1));
   const auto responses = run_lines(
-      eng, {R"({"id":"bench","bench":"ewf"})",
+      svc, {R"({"id":"bench","bench":"ewf"})",
             std::string(R"({"id":"text","dfg":")") + escaped + "\"}"});
   ASSERT_EQ(responses.size(), 2u);
-  EXPECT_TRUE(responses[0].error.empty()) << responses[0].error;
-  EXPECT_TRUE(responses[1].error.empty()) << responses[1].error;
-  EXPECT_EQ(responses[0].key, responses[1].key);
-  EXPECT_EQ(eng.counters().computed, 1u);
-  EXPECT_EQ(eng.counters().deduped, 1u);
+  EXPECT_EQ(responses[0].find("error"), nullptr);
+  EXPECT_EQ(responses[1].find("error"), nullptr) << bs::text(responses[1], "error");
+  EXPECT_EQ(bs::text(responses[0], "key"), bs::text(responses[1], "key"));
+  EXPECT_EQ(svc.stats().computed, 1u);
+  EXPECT_EQ(svc.stats().deduped + svc.stats().cache_hits, 1u);
 }
 
 TEST(ServeEngine, DeterministicAcrossJobsAndCacheSizes) {
@@ -265,22 +275,15 @@ TEST(ServeEngine, DeterministicAcrossJobsAndCacheSizes) {
       R"(garbage line)",
       R"({"id":"f","bench":"iir4","mul_latency":1})",
   };
-  sv::engine_options serial;
-  serial.jobs = 1;
-  sv::engine reference(serial);
-  const auto expected = run_lines(reference, lines);
+  const auto expected = bs::strip_ms(bs::run(on_jobs(1), lines));
+  ASSERT_EQ(expected.size(), lines.size());
 
   for (const int jobs : {1, 4}) {
     for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{1} << 26}) {
-      sv::engine_options opt;
-      opt.jobs = jobs;
+      sv::service_options opt = on_jobs(jobs);
       opt.cache_bytes = cache_bytes;
-      sv::engine eng(opt);
-      const auto got = run_lines(eng, lines);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(got[i].same_payload(expected[i]))
-            << "jobs " << jobs << " cache " << cache_bytes << " line " << i;
+      EXPECT_EQ(bs::strip_ms(bs::run(opt, lines)), expected)
+          << "jobs " << jobs << " cache " << cache_bytes;
     }
   }
 }
@@ -290,40 +293,34 @@ TEST(ServeEngine, SecondRunServedEntirelyFromCache) {
       R"({"id":"a","bench":"ewf"})",
       R"({"id":"b","bench":"hal","alus":1})",
   };
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
-  const auto cold = run_lines(eng, lines);
-  EXPECT_EQ(eng.counters().computed, 2u);
-  const auto hot = run_lines(eng, lines);
-  EXPECT_EQ(eng.counters().computed, 2u); // unchanged: nothing recomputed
-  EXPECT_EQ(eng.counters().cache_hits, 2u);
-  ASSERT_EQ(hot.size(), cold.size());
-  for (std::size_t i = 0; i < hot.size(); ++i)
-    EXPECT_TRUE(hot[i].same_payload(cold[i]));
+  sv::service svc(on_jobs(1));
+  const auto cold = bs::run(svc, lines);
+  EXPECT_EQ(svc.stats().computed, 2u);
+  const auto hot = bs::run(svc, lines);
+  EXPECT_EQ(svc.stats().computed, 2u); // unchanged: nothing recomputed
+  EXPECT_EQ(svc.stats().cache_hits, 2u);
+  EXPECT_EQ(bs::strip_ms(hot), bs::strip_ms(cold));
 }
 
 TEST(ServeEngine, InfeasibleAllocationIsAResponseAndCached) {
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
-  const auto first = run_lines(eng, {R"({"id":"x","bench":"ewf","muls":0})"});
+  sv::service svc(on_jobs(1));
+  const auto first = bs::run(svc, {R"({"id":"x","bench":"ewf","muls":0})"});
   ASSERT_EQ(first.size(), 1u);
-  EXPECT_TRUE(first[0].error.empty());
-  EXPECT_FALSE(first[0].result.feasible);
-  EXPECT_FALSE(first[0].result.infeasible_reason.empty());
-  EXPECT_EQ(first[0].result.latency, -1);
-  const auto second = run_lines(eng, {R"({"id":"y","bench":"ewf","muls":0})"});
-  EXPECT_EQ(eng.counters().cache_hits, 1u);
-  EXPECT_TRUE(second[0].result.same_schedule(first[0].result));
+  const softsched::json_value r = parse_json(first[0]);
+  EXPECT_EQ(r.find("error"), nullptr);
+  EXPECT_FALSE(r.find("feasible")->as_bool());
+  EXPECT_FALSE(bs::text(r, "infeasible_reason").empty());
+  EXPECT_EQ(r.find("latency"), nullptr);
+  const auto second = bs::run(svc, {R"({"id":"y","bench":"ewf","muls":0})"});
+  EXPECT_EQ(svc.stats().cache_hits, 1u);
+  EXPECT_EQ(bs::result_of(second[0]), bs::result_of(first[0]));
 }
 
 TEST(ServeEngine, ErrorsStayOnTheirLines) {
-  sv::engine_options opt;
-  opt.jobs = 2;
-  opt.batch_size = 2; // exercise multi-batch streaming too
-  sv::engine eng(opt);
-  const auto responses = run_lines(eng, {
+  sv::service_options opt = on_jobs(2);
+  opt.queue_capacity = 2; // a narrow in-flight window slides over the stream
+  sv::service svc(opt);
+  const auto responses = run_lines(svc, {
                                             R"({"id":"ok1","bench":"fig1"})",
                                             R"({"broken")",
                                             R"({"id":"ok2","bench":"fig1"})",
@@ -331,46 +328,43 @@ TEST(ServeEngine, ErrorsStayOnTheirLines) {
                                             R"({"id":"ok3","bench":"fig1"})",
                                         });
   ASSERT_EQ(responses.size(), 5u);
-  EXPECT_TRUE(responses[0].error.empty());
-  EXPECT_FALSE(responses[1].error.empty());
-  EXPECT_TRUE(responses[2].error.empty());
-  EXPECT_FALSE(responses[3].error.empty());
-  EXPECT_TRUE(responses[4].error.empty());
+  EXPECT_EQ(responses[0].find("error"), nullptr);
+  EXPECT_NE(responses[1].find("error"), nullptr);
+  EXPECT_EQ(responses[2].find("error"), nullptr);
+  EXPECT_NE(responses[3].find("error"), nullptr);
+  EXPECT_EQ(responses[4].find("error"), nullptr);
   for (std::size_t i = 0; i < responses.size(); ++i)
-    EXPECT_EQ(responses[i].line, i + 1);
-  EXPECT_EQ(eng.counters().parse_errors, 2u);
-  // fig1 was computed once; the two later fig1 requests crossed batch
-  // boundaries, so they hit the cache rather than the in-flight dedup.
-  EXPECT_EQ(eng.counters().computed, 1u);
-  EXPECT_EQ(eng.counters().cache_hits, 2u);
+    EXPECT_EQ(responses[i].find("line")->as_integer(0, 10), static_cast<long long>(i + 1));
+  EXPECT_EQ(bs::text(responses[1], "id"), "line2");
+  const sv::service_stats s = svc.stats();
+  EXPECT_EQ(s.errors, 2u);
+  // fig1 was computed once; the two later fig1 requests were served
+  // without running the scheduler.
+  EXPECT_EQ(s.computed, 1u);
+  EXPECT_EQ(s.cache_hits + s.deduped, 2u);
+  EXPECT_EQ(s.overloaded, 0u);
 }
 
 TEST(ServeEngine, WireCarryingDfgTextSchedules) {
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
+  sv::service svc(on_jobs(1));
   const auto responses = run_lines(
-      eng, {R"({"id":"w","dfg":"dfg t\nop a add\nwire w1 2 a\nop b add\nedge w1 b\n"})"});
+      svc, {R"({"id":"w","dfg":"dfg t\nop a add\nwire w1 2 a\nop b add\nedge w1 b\n"})"});
   ASSERT_EQ(responses.size(), 1u);
-  EXPECT_TRUE(responses[0].error.empty()) << responses[0].error;
-  EXPECT_TRUE(responses[0].result.feasible);
-  EXPECT_EQ(responses[0].result.ops, 3u);
+  EXPECT_EQ(responses[0].find("error"), nullptr) << bs::text(responses[0], "error");
+  EXPECT_TRUE(responses[0].find("feasible")->as_bool());
+  EXPECT_EQ(responses[0].find("ops")->as_integer(0, 100), 3);
 }
 
 TEST(ServeEngine, StreamEmitsOneValidJsonObjectPerLine) {
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
+  sv::service svc(on_jobs(1));
   std::istringstream in("{\"id\":\"a\",\"bench\":\"hal\"}\n"
                         "\n" // blank lines are skipped, numbering preserved
                         "{\"id\":\"b\",\"bench\":\"hal\",\"alus\":0}\n"
                         "broken\n");
   std::ostringstream out;
-  const sv::stream_summary summary = eng.run_stream(in, out);
-  EXPECT_EQ(summary.counters.requests, 3u);
-  EXPECT_EQ(summary.counters.parse_errors, 1u);
-  EXPECT_EQ(summary.batches, 1u);
-  EXPECT_GT(summary.wall_ms, 0.0);
+  EXPECT_EQ(sv::serve_batch(in, out, svc), 3u);
+  svc.drain();
+  EXPECT_EQ(svc.stats().errors, 1u);
 
   std::istringstream parsed(out.str());
   std::string line;
@@ -385,15 +379,15 @@ TEST(ServeEngine, StreamEmitsOneValidJsonObjectPerLine) {
   EXPECT_EQ(docs[1].find("line")->as_integer(0, 10), 3); // blank line skipped
   EXPECT_FALSE(docs[1].find("feasible")->as_bool());
   ASSERT_NE(docs[2].find("error"), nullptr);
+  EXPECT_EQ(docs[2].find("line")->as_integer(0, 10), 4);
+  EXPECT_EQ(docs[2].find("id")->as_string(), "line4");
 
   // Compact mode drops the schedule arrays but stays valid JSONL.
-  sv::engine_options compact = opt;
+  sv::service_options compact = on_jobs(1);
   compact.emit_schedule = false;
-  sv::engine eng2(compact);
-  std::istringstream in2("{\"id\":\"a\",\"bench\":\"hal\"}\n");
-  std::ostringstream out2;
-  (void)eng2.run_stream(in2, out2);
-  const softsched::json_value doc = parse_json(out2.str());
+  const auto compacted = bs::run(compact, {R"({"id":"a","bench":"hal"})"});
+  ASSERT_EQ(compacted.size(), 1u);
+  const softsched::json_value doc = parse_json(compacted[0]);
   EXPECT_EQ(doc.find("start"), nullptr);
   EXPECT_NE(doc.find("stats"), nullptr);
 }
@@ -403,7 +397,7 @@ TEST(ServeEngine, RenumberedIsomorphGetsItsOwnNumberingRegardlessOfCacheState) {
   // *different* order than the bench builder. The canonical digest unifies
   // the two, so a warm cache serves the text request from the bench
   // request's entry - the payload must still be indexed in the text
-  // request's own numbering, i.e. identical to what a fresh engine
+  // request's own numbering, i.e. identical to what a fresh service
   // computes for the text request alone (the cache-transparency half of
   // the determinism contract).
   const si::resource_library lib;
@@ -430,28 +424,26 @@ TEST(ServeEngine, RenumberedIsomorphGetsItsOwnNumberingRegardlessOfCacheState) {
       std::string(R"({"id":"t","dfg":")") + escaped + "\"}";
 
   // Reference: the text request alone, cold cache.
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine fresh(opt);
-  const auto alone = run_lines(fresh, {text_request});
+  const auto alone = bs::run(on_jobs(1), {text_request});
   ASSERT_EQ(alone.size(), 1u);
-  ASSERT_TRUE(alone[0].error.empty()) << alone[0].error;
+  ASSERT_EQ(parse_json(alone[0]).find("error"), nullptr) << alone[0];
 
   // Warmed: the bench request populates the shared cache entry first.
-  sv::engine warmed(opt);
-  const auto pair =
-      run_lines(warmed, {R"({"id":"b","bench":"ewf"})", text_request});
+  sv::service warmed(on_jobs(1));
+  const auto pair = bs::run(warmed, {R"({"id":"b","bench":"ewf"})", text_request});
   ASSERT_EQ(pair.size(), 2u);
-  EXPECT_EQ(pair[0].key, pair[1].key); // isomorphs unify
-  EXPECT_EQ(warmed.counters().computed, 1u);
-  EXPECT_EQ(warmed.counters().deduped, 1u);
+  const auto docs = bs::parsed(pair);
+  EXPECT_EQ(bs::text(docs[0], "key"), bs::text(docs[1], "key")); // isomorphs unify
+  EXPECT_EQ(warmed.stats().computed, 1u);
+  EXPECT_EQ(warmed.stats().deduped + warmed.stats().cache_hits, 1u);
   // The text request's payload is independent of who computed the entry.
-  EXPECT_EQ(alone[0].result.start_times, pair[1].result.start_times);
-  EXPECT_EQ(alone[0].result.unit_of, pair[1].result.unit_of);
-  EXPECT_TRUE(alone[0].result.same_schedule(pair[1].result));
+  const softsched::json_value lone = parse_json(alone[0]);
+  EXPECT_EQ(bs::numbers(lone, "start"), bs::numbers(docs[1], "start"));
+  EXPECT_EQ(bs::numbers(lone, "unit"), bs::numbers(docs[1], "unit"));
+  EXPECT_EQ(bs::result_of(alone[0]), bs::result_of(pair[1]));
   // And the two isomorphic requests agree on everything
   // numbering-independent.
-  EXPECT_EQ(pair[0].result.latency, pair[1].result.latency);
+  EXPECT_EQ(docs[0].find("latency")->as_number(), docs[1].find("latency")->as_number());
 }
 
 TEST(ServeRequest, RandomOnlyFieldsRejectedOnOtherSources) {
@@ -478,8 +470,8 @@ TEST(ServeRequest, SourceSignatureSeparatesNearbyEdgeProbabilities) {
 }
 
 TEST(ServeRequest, HostileNumericInputIsAnErrorNotUndefinedBehavior) {
-  // Out-of-range doubles must surface as json_error (and, in the engine,
-  // as per-line error responses) - never as an out-of-range cast, which
+  // Out-of-range doubles must surface as json_error (and, in a batch
+  // session, as per-line error responses) - never as an out-of-range cast, which
   // the UBSan CI legs would turn into a process abort.
   EXPECT_THROW(sv::parse_request_line(R"({"random":1e30})"), json_error);
   EXPECT_THROW(sv::parse_request_line(R"({"random":50,"seed":1e300})"), json_error);
@@ -487,47 +479,44 @@ TEST(ServeRequest, HostileNumericInputIsAnErrorNotUndefinedBehavior) {
   EXPECT_THROW(sv::parse_request_line(R"({"bench":"ewf","alus":-1e25})"), json_error);
   EXPECT_NO_THROW(sv::parse_request_line(R"({"random":50,"seed":4294967296})"));
 
-  sv::engine_options opt;
-  opt.jobs = 1;
-  sv::engine eng(opt);
-  const auto responses = run_lines(eng, {R"({"id":"x","random":1e30})"});
+  sv::service svc(on_jobs(1));
+  const auto responses = run_lines(svc, {R"({"id":"x","random":1e30})"});
   ASSERT_EQ(responses.size(), 1u);
-  EXPECT_FALSE(responses[0].error.empty());
+  EXPECT_FALSE(batch_session::text(responses[0], "error").empty());
 }
 
 TEST(ServeEngine, DedupedOversizeResultServesEveryClientAndRecomputes) {
   // The dedup x oversize corner: two clients request the same design in
-  // one batch, and the cache budget is too small to retain the computed
-  // schedule. The deduped follower must be served from the in-flight
-  // result itself (a cache re-lookup would find nothing), and the next
-  // batch must recompute rather than crash or serve a stale pointer.
-  sv::engine_options opt;
-  opt.jobs = 2;
+  // one session, and the cache budget is too small to retain the computed
+  // schedule. A follower that joins the flight is served from the
+  // in-flight result itself (a cache re-lookup would find nothing); one
+  // that arrives later recomputes. Either way every client gets the same
+  // schedule, and the next session recomputes rather than crash or serve a
+  // stale pointer.
+  sv::service_options opt = on_jobs(2);
   opt.cache_bytes = 0; // every insert is oversize-rejected
   opt.cache_shards = 1;
-  sv::engine eng(opt);
-  const auto first = run_lines(eng, {R"({"id":"a","bench":"ewf"})",
-                                     R"({"id":"b","bench":"ewf"})"});
+  sv::service svc(opt);
+  const auto first = bs::run(svc, {R"({"id":"a","bench":"ewf"})",
+                                   R"({"id":"b","bench":"ewf"})"});
   ASSERT_EQ(first.size(), 2u);
-  for (const sv::response& r : first) {
-    EXPECT_TRUE(r.error.empty()) << r.error;
-    EXPECT_TRUE(r.result.feasible);
-    EXPECT_FALSE(r.result.start_times.empty());
+  for (const softsched::json_value& r : bs::parsed(first)) {
+    EXPECT_EQ(r.find("error"), nullptr) << bs::text(r, "error");
+    EXPECT_TRUE(r.find("feasible")->as_bool());
+    EXPECT_FALSE(bs::numbers(r, "start").empty());
   }
-  EXPECT_EQ(first[0].key, first[1].key);
-  EXPECT_TRUE(first[0].result.same_schedule(first[1].result));
-  EXPECT_EQ(first[0].result.start_times, first[1].result.start_times);
-  EXPECT_EQ(eng.counters().computed, 1u);
-  EXPECT_EQ(eng.counters().deduped, 1u);
-  EXPECT_GE(eng.cache().counters().rejected_oversize, 1u);
+  EXPECT_EQ(bs::result_of(first[0]), bs::result_of(first[1]));
+  EXPECT_EQ(svc.stats().cache_hits, 0u);
+  EXPECT_GE(svc.cache().counters().rejected_oversize, 1u);
 
-  // Nothing was retained, so the next batch recomputes - and agrees.
-  const auto second = run_lines(eng, {R"({"id":"c","bench":"ewf"})"});
+  // Nothing was retained, so the next session recomputes - and agrees.
+  const std::uint64_t computed = svc.stats().computed;
+  const auto second = bs::run(svc, {R"({"id":"c","bench":"ewf"})"});
   ASSERT_EQ(second.size(), 1u);
-  EXPECT_TRUE(second[0].error.empty()) << second[0].error;
-  EXPECT_EQ(eng.counters().computed, 2u);
-  EXPECT_EQ(eng.counters().cache_hits, 0u);
-  EXPECT_TRUE(second[0].result.same_schedule(first[0].result));
+  EXPECT_EQ(parse_json(second[0]).find("error"), nullptr) << second[0];
+  EXPECT_EQ(svc.stats().computed, computed + 1);
+  EXPECT_EQ(svc.stats().cache_hits, 0u);
+  EXPECT_EQ(bs::result_of(second[0]), bs::result_of(first[0]));
 }
 
 TEST(ScheduleCache, OversizeReplacementKeepsResidentValue) {

@@ -12,6 +12,7 @@
 //   softsched_cli --compare --bench ewf --alus 2 --muls 2
 //   softsched_cli --explore --bench ewf --backend all --jobs 8
 //   softsched_cli --serve-batch requests.jsonl --out responses.jsonl --jobs 8
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -36,7 +37,6 @@
 #include "regalloc/left_edge.h"
 #include "sched/backend.h"
 #include "serve/daemon.h"
-#include "serve/engine.h"
 #include "serve/options.h"
 #include "serve/socket.h"
 #include "regalloc/lifetime.h"
@@ -132,7 +132,6 @@ struct options {
       << "  --serve-batch <file|->                          request file (- = stdin)\n"
       << "  --out <file|->                                  responses (default stdout)\n"
       << "  --cache-mb <n>                                  schedule cache budget (64)\n"
-      << "  --serve-batch-size <n>                          requests per wave (64)\n"
       << "  --serve-compact                                 omit start/unit arrays\n"
       << "  --cache-dir <dir>                               persistent cache tier\n"
       << "  --disk-cache-mb <n>                             disk tier budget (0 = off)\n"
@@ -142,7 +141,8 @@ struct options {
       << "  --serve [file|-]                                framed stream (- = stdin)\n"
       << "  --listen <stdio|tcp:HOST:PORT|unix:PATH>        transport (stdio)\n"
       << "  --max-conns <n>                                 open-connection bound (64)\n"
-      << "  --serve-queue <n>                               admission capacity (256)\n"
+      << "  --serve-queue <n>                               admission capacity; also the\n"
+      << "                                                  --serve-batch window (256)\n"
       << "  --serve-ordered                                 input-order responses\n"
       << "persistent cache maintenance (docs/SERVING.md \"Persistence\"):\n"
       << "  cache export --cache-dir <dir> [--out <file|->] ship a warm cache\n"
@@ -210,7 +210,6 @@ options parse_args(int argc, char** argv) {
     else if (arg == "--cache-mb") opt.serve_flags.cache_mb = std::atoi(need(i).c_str());
     else if (arg == "--cache-dir") opt.serve_flags.cache_dir = need(i);
     else if (arg == "--disk-cache-mb") opt.serve_flags.disk_cache_mb = std::atoi(need(i).c_str());
-    else if (arg == "--serve-batch-size") opt.serve_flags.serve_batch_size = std::atoi(need(i).c_str());
     else if (arg == "--serve-compact") opt.serve_flags.serve_compact = true;
     else if (arg == "--arena") opt.serve_flags.arena = need(i);
     else if (arg == "--gantt") opt.gantt = true;
@@ -491,23 +490,25 @@ int run_explore(const options& opt, const scheduling_config& cfg) {
 }
 
 // One stable stderr line for the persistent tier, shared by both serve
-// modes (and grepped by the docs/SERVING.md warm-restart example).
-void report_disk_tier(const sv::disk_cache_counters& d) {
-  std::cerr << "serve: disk tier: " << d.hits << " disk hits, " << d.misses
-            << " disk misses, " << d.writes << " writes, " << d.flushed
-            << " flushed, " << d.evictions << " evictions, " << d.corrupt_dropped
-            << " corrupt dropped, " << d.io_errors << " io errors; recovered "
-            << d.recovered_entries << " entries in " << d.recovery_scan_ms
-            << " ms; " << d.entries << " entries, " << d.bytes << " bytes"
-            << (d.degraded ? "; DEGRADED (RAM-only)" : "") << "\n";
+// modes (and grepped by CI and the docs/SERVING.md warm-restart example).
+void report_disk_tier(const sv::service_stats& s) {
+  if (!s.disk_enabled) return;
+  std::cerr << "serve: disk tier: " << s.disk_hits << " disk hits, " << s.disk_misses
+            << " disk misses, " << s.disk_writes << " writes, " << s.disk_flushed
+            << " flushed, " << s.disk_evictions << " evictions, " << s.disk_corrupt_dropped
+            << " corrupt dropped, " << s.disk_io_errors << " io errors; recovered "
+            << s.disk_recovered_entries << " entries in " << s.disk_recovery_scan_ms
+            << " ms; " << s.disk_entries << " entries, " << s.disk_bytes << " bytes"
+            << (s.disk_degraded ? "; DEGRADED (RAM-only)" : "") << "\n";
 }
 
-// Batch scheduling service: JSONL requests -> JSONL responses, cache and
-// dedup summary on stderr (stdout stays machine-readable).
+// Batch scheduling service: JSONL requests -> JSONL responses, one ordered
+// session of the service; cache and dedup summary on stderr (stdout stays
+// machine-readable).
 int run_serve(const options& opt) {
   // One validation path for every serving flag (serve/options.h); the
   // error messages tests pin live there, not here.
-  const sv::engine_options eopt = sv::engine_options_from_flags(opt.serve_flags);
+  const sv::daemon_options dopt = sv::daemon_options_from_flags(opt.serve_flags);
 
   std::ifstream in_file;
   std::istream* in = &std::cin;
@@ -524,27 +525,28 @@ int run_serve(const options& opt) {
     out = &out_file;
   }
 
-  sv::engine eng(eopt);
-  const sv::stream_summary summary = eng.run_stream(*in, *out);
+  sv::service svc(dopt.service);
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t requests = sv::serve_batch(*in, *out, svc);
+  const double wall_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   // Flush before checking: a write failure (disk full) surfacing only at
   // close must not exit 0 with a truncated response file.
   out->flush();
   if (!*out) throw softsched::precondition_error("failed to write responses");
 
-  const sv::engine_counters& c = summary.counters;
-  const sv::cache_counters cc = eng.cache().counters();
-  std::cerr << "serve: " << c.requests << " requests in " << summary.batches
-            << " batches on " << eng.jobs() << " jobs: " << c.computed
-            << " scheduled, " << c.cache_hits << " cache hits, " << c.deduped
-            << " deduped, " << c.parse_errors << " errors (hit rate "
-            << c.hit_rate() << ")\n";
-  std::cerr << "serve: " << summary.wall_ms << " ms, " << summary.requests_per_sec()
+  svc.drain();            // settle the counters behind the last callback
+  (void)svc.flush_disk(); // report settled disk counters, not a mid-flush snapshot
+  const sv::service_stats s = svc.stats();
+  const sv::cache_counters cc = svc.cache().counters();
+  std::cerr << "serve: " << requests << " requests on " << svc.jobs() << " jobs: "
+            << s.computed << " scheduled, " << s.cache_hits << " cache hits, " << s.deduped
+            << " deduped, " << s.errors << " errors (hit rate " << s.hit_rate << ")\n";
+  std::cerr << "serve: " << wall_ms << " ms, "
+            << (wall_ms > 0 ? static_cast<double>(requests) / (wall_ms / 1e3) : 0.0)
             << " requests/sec; cache " << cc.entries << " entries, " << cc.bytes
             << " bytes, " << cc.evictions << " evictions\n";
-  if (sv::disk_cache* disk = eng.disk(); disk != nullptr) {
-    (void)eng.flush_disk(); // report settled counters, not a mid-flush snapshot
-    report_disk_tier(disk->counters());
-  }
+  report_disk_tier(s);
   return 0;
 }
 
@@ -567,16 +569,7 @@ void report_daemon(std::uint64_t requests, const sv::service_stats& s,
             << " active, " << c.closed << " closed, " << c.transport_errors
             << " transport errors, " << c.bytes_in << " bytes in, " << c.bytes_out
             << " bytes out\n";
-  if (s.disk_enabled) {
-    std::cerr << "serve: disk tier: " << s.disk_hits << " disk hits, " << s.disk_misses
-              << " disk misses, " << s.disk_writes << " writes, " << s.disk_flushed
-              << " flushed, " << s.disk_evictions << " evictions, "
-              << s.disk_corrupt_dropped << " corrupt dropped, " << s.disk_io_errors
-              << " io errors; recovered " << s.disk_recovered_entries << " entries in "
-              << s.disk_recovery_scan_ms << " ms; " << s.disk_entries << " entries, "
-              << s.disk_bytes << " bytes"
-              << (s.disk_degraded ? "; DEGRADED (RAM-only)" : "") << "\n";
-  }
+  report_disk_tier(s);
 }
 
 // Resident daemon over a socket listener: accept loop + per-connection
@@ -591,9 +584,7 @@ int run_socket_daemon(const sv::daemon_options& dopt, const sv::listen_spec& spe
 
   sv::socket_server_options sopt;
   sopt.max_connections = dopt.max_connections;
-  sopt.retry_after_ms = dopt.service.retry_after_ms;
   sopt.connection.ordered = dopt.ordered;
-  sopt.connection.emit_schedule = dopt.service.emit_schedule;
   sopt.connection.limits = dopt.limits;
   sv::socket_server server(*accept_from, svc, sopt);
   const sv::socket_server_summary summary = server.run();
@@ -607,8 +598,7 @@ int run_socket_daemon(const sv::daemon_options& dopt, const sv::listen_spec& spe
 }
 
 // Resident daemon: framed requests -> framed responses (docs/SERVING.md),
-// session summary on stderr. SOFTSCHED_INJECT (fault injection for tests)
-// is honored here and nowhere else.
+// session summary on stderr.
 int run_daemon_mode(const options& opt) {
   // One validation path for every serving flag (serve/options.h); the
   // error messages tests pin live there, not here.
