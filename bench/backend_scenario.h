@@ -5,12 +5,13 @@
 // per-design latency and its delta against the soft scheduler, and whether
 // two full passes produce bit-identical outcomes.
 //
-// Included by both bench/perf_harness.cpp (which embeds the block into
-// BENCH_softsched.json next to the other scenarios) and
-// bench/backend_harness.cpp (the focused standalone runner), so the two
-// always measure the same workload. The suite is fixed - it does not scale
-// with --quick - because the CI bench gate compares the soft throughput
-// against the committed baseline and must compare like against like.
+// Emitted by bench/perf_harness.cpp as the "backend" block of
+// BENCH_softsched.json (`perf_harness --only backend` runs it alone). The
+// suite is fixed - it does not scale with --quick - because the CI bench
+// gate compares the soft throughput against the committed baseline and
+// must compare like against like. The block's checks (checks.h), per
+// backend: deterministic across passes, every feasible schedule legal, and
+// a positive throughput.
 //
 // Why this scenario exists: the paper's claim is comparative (soft
 // scheduling tracks the fixed-priority baselines while staying refinable),
@@ -20,10 +21,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <iostream>
 #include <string>
 #include <vector>
 
+#include "checks.h"
 #include "hard/schedule.h"
 #include "ir/benchmarks.h"
 #include "sched/backend.h"
@@ -78,9 +79,8 @@ run_backend_pass(const sched::scheduler_backend& backend, const std::vector<ir::
 }
 
 /// Emits the whole scenario as the value of an already-written "backend"
-/// key. Returns false if any backend was nondeterministic across passes or
-/// produced an illegal feasible schedule.
-inline bool write_backend_scenario(json_writer& j) {
+/// key.
+inline checks write_backend_scenario(json_writer& j) {
   const ir::resource_library library;
   const ir::resource_set constraint = ir::figure3_constraint(0); // 2+/-,2*
   std::vector<ir::dfg> suite;
@@ -92,7 +92,7 @@ inline bool write_backend_scenario(json_writer& j) {
 
   std::vector<backend_suite_outcome> results;
   std::vector<long long> soft_latency(suite.size(), -1);
-  bool ok = true;
+  checks c;
   for (const sched::scheduler_backend* backend : sched::registered_backends()) {
     backend_suite_outcome r;
     r.name = backend->name();
@@ -141,11 +141,9 @@ inline bool write_backend_scenario(json_writer& j) {
       }
       r.designs.push_back(std::move(d));
     }
-    if (!r.deterministic)
-      std::cerr << "backend: " << r.name << " diverged across repeat passes\n";
-    if (!r.all_legal)
-      std::cerr << "backend: " << r.name << " produced an illegal schedule\n";
-    ok = ok && r.deterministic && r.all_legal;
+    c.emplace_back(r.name + "_deterministic", r.deterministic);
+    c.emplace_back(r.name + "_legal", r.all_legal);
+    c.emplace_back(r.name + "_throughput_positive", r.points_per_sec() > 0);
     results.push_back(std::move(r));
   }
 
@@ -164,8 +162,6 @@ inline bool write_backend_scenario(json_writer& j) {
     j.member("timed_passes", r.timed_passes);
     j.member("total_ms", r.total_ms);
     j.member("points_per_sec", r.points_per_sec());
-    j.member("deterministic", r.deterministic);
-    j.member("all_legal", r.all_legal);
     j.key("latency");
     j.begin_object();
     for (const backend_design_outcome& d : r.designs) {
@@ -180,9 +176,7 @@ inline bool write_backend_scenario(json_writer& j) {
     j.end_object();
   }
   j.end_object();
-  j.member("deterministic", ok);
-  j.end_object();
-  return ok;
+  return end_block(j, std::move(c));
 }
 
 } // namespace softsched::bench

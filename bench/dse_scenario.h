@@ -4,17 +4,17 @@
 // full worker pool - recording points/sec for both, the speedup, and
 // whether the two runs produced bit-identical outcomes.
 //
-// Included by both bench/perf_harness.cpp (which embeds the block into
-// BENCH_softsched.json next to the other scenarios) and bench/dse_harness.cpp
-// (the focused standalone runner), so the two always measure the same
-// workload. The grids deliberately do not scale with --quick: the scenario
-// is sub-second, and keeping it fixed makes the CI regression gate compare
-// like against like.
+// Emitted by bench/perf_harness.cpp as the "dse" block of
+// BENCH_softsched.json (`perf_harness --only dse` runs it alone). The grids
+// deliberately do not scale with --quick: the scenario is sub-second, and
+// keeping it fixed makes the CI regression gate compare like against like.
+// The block's own checks (checks.h): 1-job and N-job outcomes agree, and
+// the N-job throughput is positive.
 #pragma once
 
 #include <cstdint>
-#include <iostream>
 
+#include "checks.h"
 #include "explore/dse.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
@@ -39,10 +39,8 @@ inline dse_grid_outcome run_dse_grid(const explore::grid_spec& spec, unsigned jo
 }
 
 /// Emits the whole scenario as the value of an already-written "dse" key.
-/// `jobs` = 0 picks thread_pool::hardware_workers(). Returns false if any
-/// grid's single- and multi-threaded runs diverged.
-inline bool write_dse_scenario(json_writer& j, std::uint64_t seed, unsigned jobs = 0) {
-  if (jobs == 0) jobs = thread_pool::hardware_workers();
+inline checks write_dse_scenario(json_writer& j, std::uint64_t seed) {
+  const unsigned jobs = thread_pool::hardware_workers();
 
   explore::grid_spec ewf;
   ewf.design.bench = "ewf";
@@ -88,21 +86,17 @@ inline bool write_dse_scenario(json_writer& j, std::uint64_t seed, unsigned jobs
              got.multi.wall_ms > 0 ? got.single.wall_ms / got.multi.wall_ms : 0.0);
     j.member("deterministic", got.deterministic);
     j.end_object();
-
-    if (!got.deterministic)
-      std::cerr << "dse: " << spec.design.name()
-                << " grid diverged between 1 and " << jobs << " jobs\n";
   }
   j.end_array();
+  const double points_per_sec_multi =
+      multi_ms > 0 ? static_cast<double>(total_points) / (multi_ms / 1e3) : 0.0;
   j.member("total_points", total_points);
   j.member("points_per_sec_single",
            single_ms > 0 ? static_cast<double>(total_points) / (single_ms / 1e3) : 0.0);
-  j.member("points_per_sec_multi",
-           multi_ms > 0 ? static_cast<double>(total_points) / (multi_ms / 1e3) : 0.0);
+  j.member("points_per_sec_multi", points_per_sec_multi);
   j.member("speedup", multi_ms > 0 ? single_ms / multi_ms : 0.0);
-  j.member("deterministic", deterministic);
-  j.end_object();
-  return deterministic;
+  return end_block(j, {{"deterministic", deterministic},
+                       {"throughput_positive", points_per_sec_multi > 0}});
 }
 
 } // namespace softsched::bench

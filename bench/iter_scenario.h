@@ -9,21 +9,21 @@
 //
 // Included by bench/perf_harness.cpp, which embeds the block as the "iter"
 // key of BENCH_softsched.json. The grid is fixed - it does not scale with
-// --quick - because ci/bench_gate.py compares qor_delta_vs_soft and
-// points_per_sec against the committed baseline and must compare like
-// against like.
+// --quick - because qor_delta_vs_soft and points_per_sec are gated against
+// the committed baseline and must compare like against like.
 //
-// The block is self-gating: it returns false (and the harness exits
-// nonzero) if any grid point ends worse than soft, if no point improves,
-// if any run is nondeterministic or illegal, or if any point fails to
-// reach a fixed point inside the default budget.
+// The block's checks (checks.h) fail - and the harness exits nonzero - if
+// any grid point ends worse than soft or is infeasible, if no point
+// improves, if any run is nondeterministic or illegal, if any point fails
+// to reach a fixed point inside the default budget, or if the timed window
+// measured no throughput.
 #pragma once
 
 #include <chrono>
-#include <iostream>
 #include <string>
 #include <vector>
 
+#include "checks.h"
 #include "hard/schedule.h"
 #include "ir/benchmarks.h"
 #include "sched/backend.h"
@@ -42,8 +42,7 @@ struct iter_point_outcome {
 };
 
 /// Emits the whole scenario as the value of an already-written "iter" key.
-/// Returns false when the scenario's own gate fails (see header comment).
-inline bool write_iter_scenario(json_writer& j) {
+inline checks write_iter_scenario(json_writer& j) {
   const ir::resource_library library;
   const sched::scheduler_backend& soft = sched::get_backend("soft");
   const sched::scheduler_backend& iter = sched::get_backend("sdc-iter");
@@ -116,18 +115,6 @@ inline bool write_iter_scenario(json_writer& j) {
                          (total_ms / 1e3)
                    : 0.0;
 
-  // The scenario's own gate: the tentpole acceptance criteria, enforced at
-  // bench time so a regenerated baseline can never encode a regression.
-  const bool fixed_point = max_iterations <= sched::sdc_iter_default_budget;
-  const bool pass = deterministic && all_legal && qor_delta <= 0 &&
-                    improved >= 1 && fixed_point &&
-                    points.size() == suite.size() * std::size(constraints);
-  if (!pass)
-    std::cerr << "iter: gate failed (deterministic=" << deterministic
-              << " all_legal=" << all_legal << " qor_delta=" << qor_delta
-              << " improved=" << improved << " points=" << points.size()
-              << " max_iterations=" << max_iterations << ")\n";
-
   j.begin_object();
   j.member("budget", sched::sdc_iter_default_budget);
   j.key("grid");
@@ -150,14 +137,16 @@ inline bool write_iter_scenario(json_writer& j) {
   j.member("timed_passes", timed_passes);
   j.member("total_ms", total_ms);
   j.member("points_per_sec", points_per_sec);
-  j.member("deterministic", deterministic);
-  j.member("all_legal", all_legal);
-  j.key("gate");
-  j.begin_object();
-  j.member("pass", pass);
-  j.end_object();
-  j.end_object();
-  return pass;
+  // Enforced at bench time so a regenerated baseline can never encode a
+  // regression.
+  return end_block(
+      j, {{"deterministic", deterministic},
+          {"all_legal", all_legal},
+          {"all_points_feasible", points.size() == suite.size() * std::size(constraints)},
+          {"never_worse_than_soft", qor_delta <= 0},
+          {"improves_somewhere", improved >= 1},
+          {"fixed_point", max_iterations <= sched::sdc_iter_default_budget},
+          {"throughput_positive", points_per_sec > 0}});
 }
 
 } // namespace softsched::bench

@@ -21,15 +21,14 @@
 // Under 2x overload the admission queue must stay bounded (peak depth <=
 // capacity - that is what admission control is for), goodput must stay
 // near the sustainable rate, and the rest of the offered load is *shed*
-// ("overloaded" responses), not queued. The emitted block ends with an
-// "slo" object that self-gates (pass = all limits met); the harness exits
-// nonzero when it fails, and ci/bench_gate.py additionally compares p99 /
-// drop rate against the committed baseline.
+// ("overloaded" responses), not queued. The emitted block's "checks" hold
+// those limits (checks.h); its p99 and drop rate are also gated against
+// the committed baseline.
 //
 // The mix and phase sizes are fixed (no --quick scaling) so the CI gate
 // always compares like against like. SOFTSCHED_INJECT is honored - the
 // nightly injected-storm leg replays this scenario with a slot delay and a
-// failed cache shard to prove the SLO story holds degraded.
+// failed cache shard to prove the limits hold degraded.
 #pragma once
 
 #include <algorithm>
@@ -41,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "checks.h"
 #include "serve/daemon.h"
 #include "serve_scenario.h"
 #include "util/json.h"
@@ -48,24 +48,21 @@
 
 namespace softsched::bench {
 
-/// Knobs for write_load_scenario beyond the seed.
+/// Knobs for write_load_scenario beyond the seed (perf_harness --retry,
+/// --cache-dir).
 struct load_options {
-  unsigned jobs = 0; ///< worker threads; 0 = thread_pool::hardware_workers()
-
   /// Closed-loop retry on shed requests: instead of counting a shed
   /// request as dropped immediately, resubmit it after the service's own
   /// retry_after_ms hint (exponential backoff, +-25% deterministic jitter,
-  /// at most retry_max_attempts total attempts). This is the client-side
-  /// half of the admission-control contract - the hint the daemon sends
-  /// with every "overloaded" response, finally exercised.
+  /// at most 3 attempts in all). This is the client-side half of the
+  /// admission-control contract - the hint the daemon sends with every
+  /// "overloaded" response, finally exercised.
   bool retry = false;
-  int retry_max_attempts = 3; ///< total attempts per request (1 = no retry)
 
-  /// Optional persistent tier for the replayed service (the nightly
-  /// disk-fault storm leg points this at a scratch directory and injects
-  /// io= faults to prove the SLO story holds with a misbehaving disk).
+  /// Optional persistent tier (64 MiB) for the replayed service (the
+  /// nightly disk-fault storm leg points this at a scratch directory and
+  /// injects io= faults to prove the limits hold with a misbehaving disk).
   std::string cache_dir;
-  std::size_t disk_cache_bytes = 0;
 };
 
 /// Exact nearest-rank percentile of a sorted sample (the oracle the
@@ -93,11 +90,10 @@ inline void warm_catalog(serve::service& svc, std::uint64_t seed) {
 }
 
 /// Emits the whole scenario as the value of an already-written "load" key.
-/// Returns the slo.pass verdict.
-inline bool write_load_scenario(json_writer& j, std::uint64_t seed,
-                                const load_options& lopt = {}) {
+inline checks write_load_scenario(json_writer& j, std::uint64_t seed,
+                                  const load_options& lopt = {}) {
   using clock_type = std::chrono::steady_clock;
-  unsigned jobs = lopt.jobs == 0 ? thread_pool::hardware_workers() : lopt.jobs;
+  const unsigned jobs = thread_pool::hardware_workers();
   constexpr int calibration_requests = 500;
   constexpr int replay_requests = 1500;
   constexpr std::size_t queue_capacity = 64;
@@ -114,7 +110,7 @@ inline bool write_load_scenario(json_writer& j, std::uint64_t seed,
   sopt.emit_schedule = false;
   sopt.faults = serve::fault_plan::from_env();
   sopt.cache_dir = lopt.cache_dir;
-  sopt.disk_cache_bytes = lopt.disk_cache_bytes;
+  sopt.disk_cache_bytes = lopt.cache_dir.empty() ? 0 : 64ull << 20;
 
   const std::vector<std::string> mix =
       make_serve_mix(seed, std::max(calibration_requests, replay_requests));
@@ -159,7 +155,7 @@ inline bool write_load_scenario(json_writer& j, std::uint64_t seed,
 
   // Closed-loop retry bookkeeping (lopt.retry): a shed request is
   // rescheduled after the service's retry_after_ms hint with exponential
-  // backoff and deterministic +-25% jitter, up to retry_max_attempts total
+  // backoff and deterministic +-25% jitter, up to max_attempts total
   // attempts; only exhausting them counts as dropped.
   struct pending_retry {
     clock_type::time_point due;
@@ -169,7 +165,7 @@ inline bool write_load_scenario(json_writer& j, std::uint64_t seed,
   };
   std::vector<pending_retry> retry_queue;
   std::uint64_t retry_attempts = 0, retry_recovered = 0, retry_exhausted = 0;
-  const int max_attempts = std::max(1, lopt.retry_max_attempts);
+  constexpr int max_attempts = 3;
   rng jitter(seed ^ 0x72657472794c4fULL);
   const auto backoff_after = [&](int attempts_spent) {
     const double base = std::max(0.1, sopt.retry_after_ms);
@@ -207,7 +203,7 @@ inline bool write_load_scenario(json_writer& j, std::uint64_t seed,
     std::this_thread::sleep_until(scheduled);
     if (lopt.retry) process_retries(clock_type::now());
     if (!submit_request(i, scheduled)) {
-      if (lopt.retry && max_attempts > 1) {
+      if (lopt.retry) {
         retry_queue.push_back(
             pending_retry{clock_type::now() + backoff_after(1), scheduled, i, 1});
       } else {
@@ -242,12 +238,6 @@ inline bool write_load_scenario(json_writer& j, std::uint64_t seed,
   const double p95 = sorted_percentile(sorted, 95);
   const double p99 = sorted_percentile(sorted, 99);
 
-  const bool queue_bounded = stats.peak_queue_depth <= queue_capacity;
-  const bool goodput_ok = goodput_rps > 0;
-  const bool p99_ok = p99 <= p99_limit_ms;
-  const bool drop_rate_ok = drop_rate <= drop_rate_limit;
-  const bool pass = queue_bounded && goodput_ok && p99_ok && drop_rate_ok;
-
   j.begin_object();
   j.member("jobs", static_cast<unsigned long long>(jobs));
   j.member("queue_capacity", queue_capacity);
@@ -264,6 +254,8 @@ inline bool write_load_scenario(json_writer& j, std::uint64_t seed,
   j.member("p50_ms", p50);
   j.member("p95_ms", p95);
   j.member("p99_ms", p99);
+  j.member("p99_limit_ms", p99_limit_ms);
+  j.member("drop_rate_limit", drop_rate_limit);
   j.member("max_ms", sorted.empty() ? 0.0 : sorted.back());
   j.member("peak_queue_depth", stats.peak_queue_depth);
   j.member("hit_rate", stats.hit_rate);
@@ -274,23 +266,15 @@ inline bool write_load_scenario(json_writer& j, std::uint64_t seed,
   j.key("retry");
   j.begin_object();
   j.member("enabled", lopt.retry);
-  j.member("max_attempts", static_cast<long long>(max_attempts));
+  j.member("max_attempts", max_attempts);
   j.member("attempts", retry_attempts);
   j.member("recovered", retry_recovered);
   j.member("exhausted", retry_exhausted);
   j.end_object();
-  j.key("slo");
-  j.begin_object();
-  j.member("p99_limit_ms", p99_limit_ms);
-  j.member("drop_rate_limit", drop_rate_limit);
-  j.member("queue_bounded", queue_bounded);
-  j.member("goodput_ok", goodput_ok);
-  j.member("p99_ok", p99_ok);
-  j.member("drop_rate_ok", drop_rate_ok);
-  j.member("pass", pass);
-  j.end_object();
-  j.end_object();
-  return pass;
+  return end_block(j, {{"queue_bounded", stats.peak_queue_depth <= queue_capacity},
+                       {"goodput_ok", goodput_rps > 0},
+                       {"p99_ok", p99 <= p99_limit_ms},
+                       {"drop_rate_ok", drop_rate <= drop_rate_limit}});
 }
 
 } // namespace softsched::bench

@@ -3,16 +3,15 @@
 // run_context vs. the heap-mode baseline, with the process-wide allocation
 // counters (util/alloc_count.h) diffed around each measured window.
 //
-// Emitted into BENCH_softsched.json as the "memory" scenario and gated by
-// ci/bench_gate.py: the warmed arena path must perform at least
-// `min_alloc_ratio` times fewer heap allocations per scheduled design than
-// heap mode, and the two modes must produce identical outcomes (the arena
-// is a cost lever, never a result lever). Self-gating like the load/socket
-// scenarios - the harness exits nonzero if the ratio or parity fails, so a
+// Emitted into BENCH_softsched.json as the "memory" scenario. Its checks
+// (checks.h): the warmed arena path must perform at least `min_alloc_ratio`
+// times fewer heap allocations per scheduled design than heap mode, and the
+// two modes must produce identical outcomes (the arena is a cost lever,
+// never a result lever). The harness exits nonzero if either fails, so a
 // regression cannot hide behind a stale committed baseline.
 //
 // The harness binary must link softsched::alloc_count; the counters read
-// zero (and the scenario fails loudly) otherwise.
+// zero (and the `instrumented` check fails) otherwise.
 //
 // peak_live_bytes doubles as the cache-miss proxy: it is the hot working
 // set one run touches, and the arena packs it into a handful of contiguous
@@ -20,10 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <iostream>
 #include <string>
 #include <vector>
 
+#include "checks.h"
 #include "ir/benchmarks.h"
 #include "sched/backend.h"
 #include "util/alloc_count.h"
@@ -31,7 +30,7 @@
 
 namespace softsched::bench {
 
-inline bool write_memory_scenario(json_writer& j) {
+inline checks write_memory_scenario(json_writer& j) {
   const ir::resource_library library;
   const ir::resource_set constraint = ir::figure3_constraint(0); // 2+/-,2*
   std::vector<ir::dfg> suite;
@@ -87,7 +86,6 @@ inline bool write_memory_scenario(json_writer& j) {
   const double ratio =
       arena.allocs_per_design > 0 ? heap.allocs_per_design / arena.allocs_per_design
                                   : heap.allocs_per_design; // arena fully silent
-  const bool ok = instrumented && parity && ratio >= min_alloc_ratio;
 
   const util::arena_stats& astats = *with_arena.arena_stats();
   j.begin_object();
@@ -112,20 +110,9 @@ inline bool write_memory_scenario(json_writer& j) {
   j.member("peak_live_bytes", static_cast<std::uint64_t>(astats.peak_bytes));
   j.member("arena_blocks", static_cast<std::uint64_t>(astats.blocks));
   j.member("arena_block_bytes", static_cast<std::uint64_t>(astats.block_bytes));
-  j.member("modes_agree", parity);
-  j.member("instrumented", instrumented);
-  j.member("ok", ok);
-  j.end_object();
-
-  if (!instrumented)
-    std::cerr << "memory: allocation counters read zero - is softsched::alloc_count "
-                 "linked?\n";
-  if (!parity) std::cerr << "memory: arena and heap modes diverged\n";
-  if (instrumented && parity && ratio < min_alloc_ratio)
-    std::cerr << "memory: alloc ratio " << ratio << " below the " << min_alloc_ratio
-              << "x gate (arena " << arena.allocs_per_design << " vs heap "
-              << heap.allocs_per_design << " allocs/design)\n";
-  return ok;
+  return end_block(j, {{"instrumented", instrumented},
+                       {"modes_agree", parity},
+                       {"alloc_ratio_ok", ratio >= min_alloc_ratio}});
 }
 
 } // namespace softsched::bench

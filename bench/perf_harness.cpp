@@ -18,15 +18,23 @@
 //                         closure rebuild per change + full relabel per
 //                         commit). Both wall times and the speedup are
 //                         recorded; the two runs must agree on the final
-//                         diameter or the harness exits nonzero.
+//                         diameter.
 //
 // Later blocks (dse, serve, load, socket, persist, backend, iter, memory)
 // come from the bench/*_scenario.h headers.
 //
+// Every object block ends with its "checks" (checks.h); the harness prints
+// each false one as <block>.<check> and exits 1. The block table below also
+// names each block's gated metrics, written as the document's top-level
+// "gated" table, which ci/bench_gate.py compares against the baseline.
+//
 // Usage: perf_harness [--quick] [--out PATH] [--seed N] [--only BLOCK[,BLOCK...]]
+//                     [--retry] [--cache-dir DIR]
 //   --quick caps sizes/iterations for CI smoke jobs.
 //   --only runs just the named scenario blocks (the document keeps its
 //   schema, with only those blocks under "scenarios").
+//   --retry and --cache-dir apply to the load block: a closed-loop retry
+//   client, and a 64 MiB persistent tier in DIR (load_scenario.h).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -39,6 +47,7 @@
 #include <vector>
 
 #include "backend_scenario.h"
+#include "checks.h"
 #include "core/hls_binding.h"
 #include "core/threaded_graph.h"
 #include "dse_scenario.h"
@@ -60,6 +69,7 @@ namespace sg = softsched::graph;
 namespace si = softsched::ir;
 namespace sm = softsched::meta;
 namespace sf = softsched::refine;
+namespace sb = softsched::bench;
 using sg::vertex_id;
 using softsched::json_writer;
 using softsched::rng;
@@ -79,7 +89,7 @@ void write_stats(json_writer& j, const sc::schedule_stats& s) {
 
 // -- scenario 1: the paper benchmarks end to end ---------------------------
 
-void run_paper_benchmarks(json_writer& j, bool quick) {
+sb::checks run_paper_benchmarks(json_writer& j, bool quick) {
   const si::resource_library lib;
   std::vector<si::dfg> suite = si::figure3_benchmarks(lib);
   suite.push_back(si::make_fir(lib, quick ? 32 : 64));
@@ -117,11 +127,12 @@ void run_paper_benchmarks(json_writer& j, bool quick) {
     j.end_object();
   }
   j.end_array();
+  return {}; // an array block carries no checks
 }
 
 // -- scenario 2: random DAG sweep ------------------------------------------
 
-void run_random_dag_sweep(json_writer& j, bool quick, std::uint64_t seed) {
+sb::checks run_random_dag_sweep(json_writer& j, bool quick, std::uint64_t seed) {
   std::vector<int> sizes{100, 300, 1000};
   if (!quick) {
     sizes.push_back(3000);
@@ -176,6 +187,7 @@ void run_random_dag_sweep(json_writer& j, bool quick, std::uint64_t seed) {
     j.end_object();
   }
   j.end_array();
+  return {}; // an array block carries no checks
 }
 
 // -- scenario 3a: generic refinement storm ---------------------------------
@@ -357,7 +369,7 @@ storm_result run_hls_storm(int taps, int steps, std::uint64_t seed, bool increme
 }
 
 template <typename RunFn>
-bool write_storm(json_writer& j, const char* name, RunFn run) {
+sb::checks write_storm(json_writer& j, RunFn run) {
   // Best of two interleaved reps per mode: wall-clock noise shows up as a
   // one-sided slowdown, so the min is the stable estimator.
   storm_result incremental = run(true);
@@ -375,48 +387,71 @@ bool write_storm(json_writer& j, const char* name, RunFn run) {
   j.member("final_diameter", incremental.diameter);
   j.member("incremental_ms", incremental.wall_ms);
   j.member("from_scratch_ms", baseline.wall_ms);
-  j.member("speedup", incremental.wall_ms > 0 ? baseline.wall_ms / incremental.wall_ms : 0.0);
-  j.member("modes_agree", consistent);
+  const double speedup =
+      incremental.wall_ms > 0 ? baseline.wall_ms / incremental.wall_ms : 0.0;
+  j.member("speedup", speedup);
   j.key("incremental_stats");
   write_stats(j, incremental.stats);
   j.key("from_scratch_stats");
   write_stats(j, baseline.stats);
-  j.end_object();
-  if (!consistent)
-    std::cerr << name << ": incremental and from-scratch runs diverged (diameter "
-              << incremental.diameter << " vs " << baseline.diameter << ")\n";
-  return consistent;
+  // The incremental run must not fall back to rebuilding the closure per
+  // change (a single rebuild is tolerated).
+  return sb::end_block(
+      j, {{"modes_agree", consistent},
+          {"speedup_positive", speedup > 0},
+          {"incremental_rebuilds_ok", incremental.stats.closure_rebuilds <= 1}});
+}
+
+/// A metric ci/bench_gate.py compares with the same path in the committed
+/// baseline: higher-is-better fails below baseline / tolerance,
+/// lower-is-better above max(baseline, floor) * tolerance.
+struct gated_metric {
+  const char* path; ///< dotted, below the block's key
+  const char* better;
+  double tolerance;
+  double floor;
+};
+
+gated_metric higher(const char* path) { return {path, "higher", 2.0, 0.0}; }
+gated_metric lower(const char* path, double tolerance, double floor) {
+  return {path, "lower", tolerance, floor};
 }
 
 /// One scenario block of the document: its key under "scenarios", the
-/// progress line, and the writer (false = the block's own check failed).
+/// progress line, the writer (returning the block's checks) and the
+/// block's gated metrics.
 struct block {
   const char* name;
   const char* what;
-  std::function<bool(json_writer&)> write;
+  std::function<sb::checks(json_writer&)> write;
+  std::vector<gated_metric> gated = {};
 };
 
 } // namespace
 
 int main(int argc, char** argv) {
-  namespace sb = softsched::bench;
   bool quick = false;
   std::string out_path = "BENCH_softsched.json";
   std::uint64_t seed = 20260729;
   std::set<std::string> only;
+  sb::load_options lopt;
   const auto usage = [] {
     std::cerr << "usage: perf_harness [--quick] [--out PATH] [--seed N] "
-                 "[--only BLOCK[,BLOCK...]]\n";
+                 "[--only BLOCK[,BLOCK...]] [--retry] [--cache-dir DIR]\n";
     return 2;
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
       quick = true;
+    } else if (arg == "--retry") {
+      lopt.retry = true;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
       seed = std::stoull(argv[++i]);
+    } else if (arg == "--cache-dir" && i + 1 < argc) {
+      lopt.cache_dir = argv[++i];
     } else if (arg == "--only" && i + 1 < argc) {
       const std::string list = argv[++i];
       for (std::size_t from = 0; from <= list.size();) {
@@ -431,18 +466,19 @@ int main(int argc, char** argv) {
 
   const std::vector<block> blocks = {
       {"paper_benchmarks", "paper benchmarks",
-       [&](json_writer& j) { return run_paper_benchmarks(j, quick), true; }},
+       [&](json_writer& j) { return run_paper_benchmarks(j, quick); }},
       {"random_dag_sweep", "random DAG sweep",
-       [&](json_writer& j) { return run_random_dag_sweep(j, quick, seed), true; }},
+       [&](json_writer& j) { return run_random_dag_sweep(j, quick, seed); }},
       {"refinement_storm", "refinement storm (generic core)",
        [&](json_writer& j) {
-         return write_storm(j, "refinement_storm", [&](bool inc) {
+         return write_storm(j, [&](bool inc) {
            return run_generic_storm(quick ? 1000 : 2500, quick ? 120 : 400, seed, inc);
          });
-       }},
+       },
+       {higher("speedup")}},
       {"hls_refinement_storm", "refinement storm (HLS binding)",
        [&](json_writer& j) {
-         return write_storm(j, "hls_refinement_storm", [&](bool inc) {
+         return write_storm(j, [&](bool inc) {
            return run_hls_storm(quick ? 16 : 32, quick ? 40 : 120, seed, inc);
          });
        }},
@@ -450,38 +486,51 @@ int main(int argc, char** argv) {
       // full mode, so the CI regression gate always compares like against
       // like.
       {"dse", "design-space exploration",
-       [&](json_writer& j) { return sb::write_dse_scenario(j, seed); }},
+       [&](json_writer& j) { return sb::write_dse_scenario(j, seed); },
+       {higher("points_per_sec_multi")}},
       // Cold/hot zipf request mix as --serve-batch sessions.
       {"serve", "batch scheduling service",
-       [&](json_writer& j) { return sb::write_serve_scenario(j, seed); }},
+       [&](json_writer& j) { return sb::write_serve_scenario(j, seed); },
+       {higher("requests_per_sec_hot"), higher("hit_rate")}},
       // Open-loop overload replay against the resident service:
-      // sustainable-rate calibration, then 2x replay with a self-gating SLO
-      // block.
+      // sustainable-rate calibration, then 2x replay. The floors keep
+      // scheduler jitter on sub-ms tails and small drop rates from reading
+      // as regressions.
       {"load", "resident service overload replay",
-       [&](json_writer& j) { return sb::write_load_scenario(j, seed); }},
+       [&](json_writer& j) { return sb::write_load_scenario(j, seed, lopt); },
+       {lower("p99_ms", 4, 1), lower("drop_rate", 2, 0.1)}},
       // The same overload replay over real unix-socket connections with
-      // connection churn. Self-gating.
+      // connection churn. Its p99 includes the kernel socket path and
+      // reader wakeups, hence the higher floor.
       {"socket", "multi-client socket overload replay",
-       [&](json_writer& j) { return sb::write_socket_scenario(j, seed); }},
+       [&](json_writer& j) { return sb::write_socket_scenario(j, seed); },
+       {lower("p99_ms", 4, 10), lower("shed_rate", 2, 0.1)}},
       // Two-tier persistent cache: cold-populate a disk tier, warm-restart
       // a fresh service over it, then serve through an injected disk
-      // outage. Self-gating.
+      // outage. The recovery scan is sub-ms on this mix; the floor keeps a
+      // filesystem hiccup from reading as a 4x regression.
       {"persist", "persistent cache warm restart",
-       [&](json_writer& j) { return sb::write_persist_scenario(j, seed); }},
+       [&](json_writer& j) { return sb::write_persist_scenario(j, seed); },
+       {higher("warm_restart_hit_rate"), lower("recovery_scan_ms", 4, 50)}},
       // Fixed benchmark suite under every registered scheduler backend: the
       // head-to-head numbers the paper's comparison story rests on,
       // cross-checked for determinism and legality.
       {"backend", "scheduler backends",
-       [&](json_writer& j) { return sb::write_backend_scenario(j); }},
-      // sdc-iter QoR vs runtime on the named-benchmark constraint grid.
-      // Self-gating on "never worse than soft, strictly better somewhere".
+       [&](json_writer& j) { return sb::write_backend_scenario(j); },
+       {higher("per_backend.soft.points_per_sec")}},
+      // sdc-iter QoR vs runtime on the named-benchmark constraint grid. The
+      // summed QoR delta is checked <= 0 in the block; the gate keeps a
+      // regenerated baseline from drifting positive.
       {"iter", "iterative scheduling",
-       [&](json_writer& j) { return sb::write_iter_scenario(j); }},
+       [&](json_writer& j) { return sb::write_iter_scenario(j); },
+       {higher("points_per_sec"), lower("qor_delta_vs_soft", 1, 0)}},
       // Warmed arena context vs the heap baseline under instrumented
-      // allocation counters. Self-gating on the allocation ratio and on
-      // arena/heap outcome parity.
+      // allocation counters. Allocations per design are deterministic, so
+      // a doubling means a per-run heap allocation came back; the floor
+      // keeps a fully silent arena from making any count look infinite.
       {"memory", "memory micro-profile",
-       [&](json_writer& j) { return sb::write_memory_scenario(j); }},
+       [&](json_writer& j) { return sb::write_memory_scenario(j); },
+       {higher("alloc_ratio"), lower("arena.allocations_per_design", 2, 4)}},
   };
   for (const std::string& name : only) {
     const bool known = std::any_of(blocks.begin(), blocks.end(),
@@ -491,6 +540,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
+  const auto selected = [&](const block& b) { return only.empty() || only.count(b.name) > 0; };
 
   std::ofstream out(out_path);
   if (!out) {
@@ -500,17 +550,32 @@ int main(int argc, char** argv) {
 
   json_writer j(out);
   j.begin_object();
-  j.member("schema", "softsched-bench-v1");
+  j.member("schema", "softsched-bench-v2");
   j.member("quick", quick);
   j.member("seed", seed);
+  j.key("gated");
+  j.begin_object();
+  for (const block& b : blocks) {
+    if (!selected(b)) continue;
+    for (const gated_metric& g : b.gated) {
+      j.key(std::string(b.name) + "." + g.path);
+      j.begin_object();
+      j.member("better", g.better);
+      j.member("tolerance", g.tolerance);
+      j.member("floor", g.floor);
+      j.end_object();
+    }
+  }
+  j.end_object(); // gated
   j.key("scenarios");
   j.begin_object();
-  bool ok = true;
+  std::vector<std::string> failed;
   for (const block& b : blocks) {
-    if (!only.empty() && only.count(b.name) == 0) continue;
+    if (!selected(b)) continue;
     std::cerr << "perf_harness: " << b.what << "...\n";
     j.key(b.name);
-    ok = b.write(j) && ok;
+    for (const auto& [check, ok] : b.write(j))
+      if (!ok) failed.push_back(std::string(b.name) + "." + check);
   }
   j.end_object(); // scenarios
   j.end_object(); // root
@@ -519,7 +584,7 @@ int main(int argc, char** argv) {
     std::cerr << "failed to emit well-formed JSON to " << out_path << "\n";
     return 1;
   }
-  std::cerr << "perf_harness: wrote " << out_path << (ok ? "" : " (A BLOCK'S CHECK FAILED)")
-            << "\n";
-  return ok ? 0 : 1;
+  std::cerr << "perf_harness: wrote " << out_path << "\n";
+  for (const std::string& f : failed) std::cerr << "perf_harness: check failed: " << f << "\n";
+  return failed.empty() ? 0 : 1;
 }

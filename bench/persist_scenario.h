@@ -18,10 +18,9 @@
 //               requests_per_sec_degraded (the outage-mode throughput).
 //
 // Emitted by bench/perf_harness.cpp as the "persist" block of
-// BENCH_softsched.json, gated by ci/bench_gate.py (`perf_harness --only
-// persist` runs it alone; the CI persist job does). The scenario self-gates:
-// the emitted "gate" object records each invariant so the bench gate can
-// fail on `gate.pass` without re-deriving the checks.
+// BENCH_softsched.json (`perf_harness --only persist` runs it alone; the CI
+// persist job does). The block's "checks" (checks.h) record each invariant
+// below, so the bench gate never re-derives them.
 //
 // The cache directory lives under the system temp dir, keyed by the seed,
 // and is recreated from scratch each run - the scenario measures a
@@ -31,10 +30,10 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <iostream>
 #include <string>
 #include <system_error>
 
+#include "checks.h"
 #include "serve/daemon.h"
 #include "serve_scenario.h"
 #include "util/json.h"
@@ -43,12 +42,10 @@
 namespace softsched::bench {
 
 /// Emits the whole scenario as the value of an already-written "persist"
-/// key. `jobs` = 0 picks thread_pool::hardware_workers(). Returns the
-/// self-gate verdict (false = some invariant broke; the block still emits
-/// so the gate can print what failed).
-inline bool write_persist_scenario(json_writer& j, std::uint64_t seed, unsigned jobs = 0) {
+/// key.
+inline checks write_persist_scenario(json_writer& j, std::uint64_t seed) {
   namespace fs = std::filesystem;
-  if (jobs == 0) jobs = thread_pool::hardware_workers();
+  const unsigned jobs = thread_pool::hardware_workers();
   constexpr int request_count = 400;
   constexpr std::size_t disk_budget = 64ull << 20;
 
@@ -59,9 +56,7 @@ inline bool write_persist_scenario(json_writer& j, std::uint64_t seed, unsigned 
                        ("softsched_persist_bench_" + std::to_string(seed));
   fs::remove_all(dir, ec);
   fs::create_directories(dir, ec);
-  bool dir_ok = !ec && fs::is_directory(dir, ec);
-  if (!dir_ok)
-    std::cerr << "persist: cannot create cache directory " << dir << "\n";
+  const bool dir_ok = !ec && fs::is_directory(dir, ec);
 
   serve::service_options base;
   base.jobs = static_cast<int>(jobs);
@@ -130,22 +125,6 @@ inline bool write_persist_scenario(json_writer& j, std::uint64_t seed, unsigned 
   const double rps_degraded =
       degraded.wall_ms > 0 ? request_count / (degraded.wall_ms / 1e3) : 0.0;
 
-  const bool deterministic = cold_match && warm_match && degraded_match;
-  const bool warm_hits_ok = warm_disk.hits > 0;
-  const bool recovered_ok =
-      warm_disk.recovered_entries > 0 &&
-      warm_disk.recovered_entries == cold_disk.entries;
-  const bool degraded_ok =
-      degraded_disk.degraded && degraded_disk.io_errors > 0 && degraded_errors == 0;
-  const bool pass =
-      dir_ok && deterministic && warm_hits_ok && recovered_ok && degraded_ok;
-  if (!pass)
-    std::cerr << "persist: gate failed (dir_ok=" << dir_ok
-              << " deterministic=" << deterministic
-              << " warm_hits_ok=" << warm_hits_ok
-              << " recovered_ok=" << recovered_ok
-              << " degraded_ok=" << degraded_ok << ")\n";
-
   j.begin_object();
   j.member("requests", static_cast<long long>(request_count));
   j.member("catalog", serve_catalog(seed).size());
@@ -165,18 +144,14 @@ inline bool write_persist_scenario(json_writer& j, std::uint64_t seed, unsigned 
   j.member("disk_hits_warm", warm_disk.hits);
   j.member("degraded_io_errors", degraded_disk.io_errors);
   j.member("degraded_request_errors", degraded_errors);
-  j.member("deterministic", deterministic);
-  j.key("gate");
-  j.begin_object();
-  j.member("dir_ok", dir_ok);
-  j.member("deterministic", deterministic);
-  j.member("warm_hits_ok", warm_hits_ok);
-  j.member("recovered_ok", recovered_ok);
-  j.member("degraded_ok", degraded_ok);
-  j.member("pass", pass);
-  j.end_object();
-  j.end_object();
-  return pass;
+  return end_block(
+      j, {{"dir_ok", dir_ok},
+          {"deterministic", cold_match && warm_match && degraded_match},
+          {"warm_hits_ok", warm_disk.hits > 0},
+          {"recovered_ok", warm_disk.recovered_entries > 0 &&
+                               warm_disk.recovered_entries == cold_disk.entries},
+          {"degraded_ok", degraded_disk.degraded && degraded_disk.io_errors > 0 &&
+                              degraded_errors == 0}});
 }
 
 } // namespace softsched::bench

@@ -9,7 +9,9 @@
 // BENCH_softsched.json (`perf_harness --only serve` runs it alone). The
 // mix is fixed - it does not scale with --quick - because the CI bench
 // gate compares the hot throughput and hit rate against the committed
-// baseline and must compare like against like.
+// baseline and must compare like against like. The block's own checks
+// (checks.h): determinism, a hit rate in (0, 1], and a hot cache at least
+// 5x faster than cold scheduling.
 //
 // Why the skewed mix: real HLS flows (feedback-guided iterative
 // scheduling, constraint sweeps) re-submit near-identical designs with
@@ -21,11 +23,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "checks.h"
 #include "serve/daemon.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -140,10 +142,9 @@ inline std::string serve_mix_text(std::uint64_t seed, int count) {
 }
 
 /// Emits the whole scenario as the value of an already-written "serve"
-/// key. `jobs` = 0 picks thread_pool::hardware_workers(). Returns false
-/// if any configuration's responses diverged from the serial cold run.
-inline bool write_serve_scenario(json_writer& j, std::uint64_t seed, unsigned jobs = 0) {
-  if (jobs == 0) jobs = thread_pool::hardware_workers();
+/// key.
+inline checks write_serve_scenario(json_writer& j, std::uint64_t seed) {
+  const unsigned jobs = thread_pool::hardware_workers();
   constexpr int request_count = 400;
   const std::string text = serve_mix_text(seed, request_count);
 
@@ -164,8 +165,6 @@ inline bool write_serve_scenario(json_writer& j, std::uint64_t seed, unsigned jo
     const std::string ref = strip_ms(run_session(reference, text).responses);
     deterministic = ref == strip_ms(run_session(parallel, text).responses) &&
                     ref == strip_ms(run_session(tiny_cache, text).responses);
-    if (!deterministic)
-      std::cerr << "serve: responses diverged across jobs/cache configurations\n";
   }
 
   // The measured runs: one service, cold session then hot session.
@@ -176,6 +175,7 @@ inline bool write_serve_scenario(json_writer& j, std::uint64_t seed, unsigned jo
 
   const double rps_cold = cold.wall_ms > 0 ? request_count / (cold.wall_ms / 1e3) : 0.0;
   const double rps_hot = hot.wall_ms > 0 ? request_count / (hot.wall_ms / 1e3) : 0.0;
+  const double hot_over_cold = rps_cold > 0 ? rps_hot / rps_cold : 0.0;
 
   j.begin_object();
   j.member("requests", static_cast<long long>(request_count));
@@ -186,10 +186,9 @@ inline bool write_serve_scenario(json_writer& j, std::uint64_t seed, unsigned jo
   j.member("hot_ms", hot.wall_ms);
   j.member("requests_per_sec_cold", rps_cold);
   j.member("requests_per_sec_hot", rps_hot);
-  j.member("speedup_hot_over_cold", rps_cold > 0 ? rps_hot / rps_cold : 0.0);
+  j.member("speedup_hot_over_cold", hot_over_cold);
   j.member("hit_rate", cold.hit_rate);
   j.member("hit_rate_hot", hot.hit_rate);
-  j.member("deterministic", deterministic);
   j.key("cache");
   j.begin_object();
   j.member("hits", cache.hits);
@@ -199,8 +198,10 @@ inline bool write_serve_scenario(json_writer& j, std::uint64_t seed, unsigned jo
   j.member("entries", cache.entries);
   j.member("bytes", cache.bytes);
   j.end_object();
-  j.end_object();
-  return deterministic;
+  return end_block(j, {{"deterministic", deterministic},
+                       {"hot_throughput_positive", rps_hot > 0},
+                       {"hit_rate_in_range", cold.hit_rate > 0 && cold.hit_rate <= 1},
+                       {"hot_over_cold_ok", hot_over_cold >= 5}});
 }
 
 } // namespace softsched::bench

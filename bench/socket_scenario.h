@@ -24,11 +24,11 @@
 // SOFTSCHED_INJECT is honored: conn=<n> rules drop or stall chosen
 // accepted connections (the nightly connection-churn storm leg); a client
 // whose connection dies reconnects and carries on, counting the requests
-// it could not deliver as dropped. The emitted block self-gates ("slo"):
+// it could not deliver as dropped. The emitted block's "checks" (checks.h):
 // bounded admission queue, bounded shed rate, bounded p99, zero transport
-// errors, and - in uninjected runs - every sent request answered exactly
-// once. ci/bench_gate.py additionally compares p99 and shed rate against
-// the committed baseline.
+// and client-reader errors, every client accepted, and - in uninjected
+// runs - every sent request answered exactly once. Its p99 and shed rate
+// are also gated against the committed baseline.
 #pragma once
 
 #include <unistd.h>
@@ -52,20 +52,12 @@
 
 namespace softsched::bench {
 
-/// Knobs for write_socket_scenario beyond the seed.
-struct socket_load_options {
-  unsigned jobs = 0;        ///< worker threads; 0 = thread_pool::hardware_workers()
-  unsigned connections = 8; ///< concurrent client connections (>= 1)
-};
-
 /// Emits the whole scenario as the value of an already-written "socket"
-/// key. Returns the slo.pass verdict.
-inline bool write_socket_scenario(json_writer& j, std::uint64_t seed,
-                                  const socket_load_options& sockopt = {}) {
+/// key.
+inline checks write_socket_scenario(json_writer& j, std::uint64_t seed) {
   using clock_type = std::chrono::steady_clock;
-  const unsigned jobs =
-      sockopt.jobs == 0 ? thread_pool::hardware_workers() : sockopt.jobs;
-  const unsigned connections = std::max(1u, sockopt.connections);
+  const unsigned jobs = thread_pool::hardware_workers();
+  constexpr unsigned connections = 8; ///< concurrent client connections
   constexpr int calibration_requests = 500;
   constexpr int replay_requests = 1200;
   constexpr int churn_every = 50; ///< requests per connection before rotating
@@ -287,19 +279,6 @@ inline bool write_socket_scenario(json_writer& j, std::uint64_t seed,
   const double p99 = sorted_percentile(sorted, 99);
   const bool injected = !sopt.faults.empty();
 
-  const bool queue_bounded = stats.peak_queue_depth <= queue_capacity;
-  const bool goodput_ok = goodput_rps > 0;
-  const bool p99_ok = p99 <= p99_limit_ms;
-  const bool shed_rate_ok = shed_rate <= shed_rate_limit;
-  const bool no_transport_errors = server_summary.conns.transport_errors == 0;
-  // Uninjected, delivery must be lossless: nothing dropped, every sent
-  // request answered exactly once. Injected runs lose exactly what the
-  // fault plan kills - the point is that they lose nothing else (covered
-  // by the per-response accounting above never double-counting).
-  const bool delivery_ok = injected || (dropped.load() == 0 && unanswered == 0);
-  const bool pass = queue_bounded && goodput_ok && p99_ok && shed_rate_ok &&
-                    no_transport_errors && delivery_ok;
-
   j.begin_object();
   j.member("transport", spec.label());
   j.member("jobs", static_cast<unsigned long long>(jobs));
@@ -322,6 +301,8 @@ inline bool write_socket_scenario(json_writer& j, std::uint64_t seed,
   j.member("p50_ms", p50);
   j.member("p95_ms", p95);
   j.member("p99_ms", p99);
+  j.member("p99_limit_ms", p99_limit_ms);
+  j.member("shed_rate_limit", shed_rate_limit);
   j.member("max_ms", sorted.empty() ? 0.0 : sorted.back());
   j.member("peak_queue_depth", stats.peak_queue_depth);
   j.member("hit_rate", stats.hit_rate);
@@ -347,20 +328,19 @@ inline bool write_socket_scenario(json_writer& j, std::uint64_t seed,
   j.member("bytes_in", server_summary.conns.bytes_in);
   j.member("bytes_out", server_summary.conns.bytes_out);
   j.end_object();
-  j.key("slo");
-  j.begin_object();
-  j.member("p99_limit_ms", p99_limit_ms);
-  j.member("shed_rate_limit", shed_rate_limit);
-  j.member("queue_bounded", queue_bounded);
-  j.member("goodput_ok", goodput_ok);
-  j.member("p99_ok", p99_ok);
-  j.member("shed_rate_ok", shed_rate_ok);
-  j.member("no_transport_errors", no_transport_errors);
-  j.member("delivery_ok", delivery_ok);
-  j.member("pass", pass);
-  j.end_object();
-  j.end_object();
-  return pass;
+  // Uninjected, delivery must be lossless: nothing dropped, every sent
+  // request answered exactly once. Injected runs lose exactly what the
+  // fault plan kills - the point is that they lose nothing else (covered
+  // by the per-response accounting above never double-counting).
+  return end_block(
+      j, {{"queue_bounded", stats.peak_queue_depth <= queue_capacity},
+          {"goodput_ok", goodput_rps > 0},
+          {"p99_ok", p99 <= p99_limit_ms},
+          {"shed_rate_ok", shed_rate <= shed_rate_limit},
+          {"no_transport_errors", server_summary.conns.transport_errors == 0},
+          {"no_reader_errors", reader_errors.load() == 0},
+          {"all_clients_accepted", server_summary.conns.accepted >= connections},
+          {"delivery_ok", injected || (dropped.load() == 0 && unanswered == 0)}});
 }
 
 } // namespace softsched::bench

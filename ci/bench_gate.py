@@ -1,470 +1,133 @@
 #!/usr/bin/env python3
 """Benchmark regression gate for CI.
 
-Validates a freshly generated BENCH JSON (schema + internal consistency,
-carrying forward the checks the old bench-smoke job ran inline) and then
-compares the headline metrics against the committed baseline with a
-generous tolerance: the job fails only when a metric regressed by more
-than 2x, so machine-to-machine noise between the committing host and the
-CI runner never trips it, while a real hot-path regression does.
+Compares a fresh perf_harness document with the committed baseline. The
+gate knows no block by name; each document says what to check:
+
+* every baseline block must be present and non-empty in the fresh one;
+* every object block of the fresh document must end with a non-empty
+  "checks" object whose values are all true (the harness's own verdicts,
+  see bench/checks.h);
+* each entry of the fresh document's top-level "gated" table compares its
+  dotted path with the same path in the baseline. "higher" fails below
+  baseline / tolerance; "lower" fails above max(baseline, floor) *
+  tolerance, the floor keeping tiny baselines from turning jitter into a
+  "4x regression".
 
 Usage: bench_gate.py BASELINE.json FRESH.json
 Prints a GitHub-flavoured markdown summary to stdout (pipe it into
-$GITHUB_STEP_SUMMARY); exits 1 on validation failure or regression.
+$GITHUB_STEP_SUMMARY); exits 1 on any failure, malformed input included,
+never with a traceback.
 """
 
 import json
 import sys
 
-# Higher-is-better metrics gate uniformly at 2x. Lower-is-better metrics
-# (latency tails, drop rates) carry their own tolerance plus an absolute
-# floor: tiny baselines would otherwise turn scheduler-jitter noise into a
-# "4x regression", so the gate compares against max(baseline, floor).
-TOLERANCE = 2.0
-LOWER_IS_BETTER = {
-    # name: (tolerance, floor)
-    "load.p99_ms": (4.0, 1.0),
-    "load.drop_rate": (2.0, 0.1),
-    # Socket p99 includes the kernel socket path and reader-thread wakeups,
-    # so it needs a higher floor than the in-process load scenario.
-    "socket.p99_ms": (4.0, 10.0),
-    "socket.shed_rate": (2.0, 0.1),
-    # The recovery scan is sub-ms on the fixed mix; without the floor a
-    # 0.2 ms -> 0.9 ms filesystem hiccup would read as a 4x regression.
-    "persist.recovery_scan_ms": (4.0, 50.0),
-    # Warmed-arena heap allocations per scheduled design. Deterministic (no
-    # timing involved), so the tolerance is tight: a doubling means someone
-    # reintroduced a per-run heap allocation on the hot path. The floor
-    # keeps a future fully-silent arena (0 allocs) from making any nonzero
-    # count look infinite.
-    "memory.arena_allocs_per_design": (2.0, 4.0),
-    # Summed sdc-iter latency delta against soft over the fixed grid. The
-    # scenario's own gate already enforces <= 0 (never worse than soft), so
-    # the committed value is zero or negative; the floor keeps the ratio
-    # math meaningful and the entry exists to fail loudly if a regenerated
-    # baseline ever drifts positive past it.
-    "iter.qor_delta_vs_soft": (1.0, 0.0),
-}
+SCHEMA = "softsched-bench-v2"
+BASELINE_SCHEMAS = ("softsched-bench-v1", SCHEMA)
 
 
-def metrics(doc):
-    s = doc["scenarios"]
-    return {
-        "refinement_storm.speedup": s["refinement_storm"]["speedup"],
-        "hls_refinement_storm.speedup": s["hls_refinement_storm"]["speedup"],
-        "dse.points_per_sec_multi": s["dse"]["points_per_sec_multi"],
-        "dse.points_per_sec_single": s["dse"]["points_per_sec_single"],
-        "serve.requests_per_sec_hot": s["serve"]["requests_per_sec_hot"],
-        "serve.requests_per_sec_cold": s["serve"]["requests_per_sec_cold"],
-        "serve.hit_rate": s["serve"]["hit_rate"],
-        "backend.soft_points_per_sec": s["backend"]["per_backend"]["soft"][
-            "points_per_sec"
-        ],
-        "backend.list_points_per_sec": s["backend"]["per_backend"]["list"][
-            "points_per_sec"
-        ],
-        "backend.fds_points_per_sec": s["backend"]["per_backend"]["fds"][
-            "points_per_sec"
-        ],
-        "iter.qor_delta_vs_soft": s["iter"]["qor_delta_vs_soft"],
-        "iter.points_per_sec": s["iter"]["points_per_sec"],
-        "load.p99_ms": s["load"]["p99_ms"],
-        "load.drop_rate": s["load"]["drop_rate"],
-        "load.goodput_rps": s["load"]["goodput_rps"],
-        "socket.p99_ms": s["socket"]["p99_ms"],
-        "socket.shed_rate": s["socket"]["shed_rate"],
-        "socket.goodput_rps": s["socket"]["goodput_rps"],
-        "persist.warm_restart_hit_rate": s["persist"]["warm_restart_hit_rate"],
-        "persist.requests_per_sec_warm": s["persist"]["requests_per_sec_warm"],
-        "persist.requests_per_sec_degraded": s["persist"][
-            "requests_per_sec_degraded"
-        ],
-        "persist.recovery_scan_ms": s["persist"]["recovery_scan_ms"],
-        "memory.alloc_ratio": s["memory"]["alloc_ratio"],
-        "memory.arena_allocs_per_design": s["memory"]["arena"][
-            "allocations_per_design"
-        ],
-    }
+class Malformed(Exception):
+    """Input the gate cannot read; reported as a failure, never raised."""
 
 
-def validate(doc, label):
-    errors = []
-    if doc.get("schema") != "softsched-bench-v1":
-        errors.append(f"{label}: unexpected schema {doc.get('schema')!r}")
-        return errors
-    s = doc.get("scenarios", {})
-    if not s.get("paper_benchmarks") or not s.get("random_dag_sweep"):
-        errors.append(f"{label}: missing paper_benchmarks/random_dag_sweep")
-    for key in ("refinement_storm", "hls_refinement_storm"):
-        storm = s.get(key)
-        if not storm:
-            errors.append(f"{label}: missing scenario {key}")
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def load(path, schemas):
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as e:
+        raise Malformed(f"{path}: {e}") from None
+    if not isinstance(doc, dict) or doc.get("schema") not in schemas:
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        raise Malformed(f"{path}: unexpected schema {schema!r}")
+    if not isinstance(doc.get("scenarios"), dict):
+        raise Malformed(f"{path}: no scenarios object")
+    return doc
+
+
+def lookup(doc, path, label):
+    node = doc["scenarios"]
+    for part in path.split("."):
+        if not isinstance(node, dict) or part not in node:
+            raise Malformed(f"{label} has no {path}")
+        node = node[part]
+    if not is_number(node):
+        raise Malformed(f"{label} {path} is not a number: {node!r}")
+    return node
+
+
+def block_errors(baseline, fresh):
+    blocks = fresh["scenarios"]
+    errors = [f"block {name} is missing or empty"
+              for name in baseline["scenarios"] if not blocks.get(name)]
+    for name, block in blocks.items():
+        if isinstance(block, list):
+            continue  # array blocks carry no checks
+        checks = block.get("checks") if isinstance(block, dict) else None
+        if not isinstance(checks, dict) or not checks:
+            errors.append(f"block {name} has no checks object")
             continue
-        if not storm["modes_agree"]:
-            errors.append(f"{label}: {key}: incremental vs from-scratch diverged")
-        if storm["speedup"] <= 0:
-            errors.append(f"{label}: {key}: bad speedup")
-        if storm["incremental_stats"]["closure_rebuilds"] > 1:
-            errors.append(f"{label}: {key}: incremental run fell back to rebuilds")
-    dse = s.get("dse")
-    if not dse:
-        errors.append(f"{label}: missing scenario dse")
-    else:
-        if not dse["deterministic"]:
-            errors.append(f"{label}: dse: 1-job vs N-job outcomes diverged")
-        if dse["points_per_sec_multi"] <= 0:
-            errors.append(f"{label}: dse: bad throughput")
-    serve = s.get("serve")
-    if not serve:
-        errors.append(f"{label}: missing scenario serve")
-    else:
-        if not serve["deterministic"]:
-            errors.append(
-                f"{label}: serve: responses diverged across jobs/cache sizes"
-            )
-        if serve["requests_per_sec_hot"] <= 0:
-            errors.append(f"{label}: serve: bad hot throughput")
-        if not 0 < serve["hit_rate"] <= 1:
-            errors.append(f"{label}: serve: hit_rate outside (0, 1]")
-        # The tentpole's speed story is a hard floor, not a trend: a warm
-        # cache must beat cold scheduling by at least 5x on the skewed mix.
-        if serve["speedup_hot_over_cold"] < 5:
-            errors.append(
-                f"{label}: serve: hot cache only "
-                f"{serve['speedup_hot_over_cold']:.2f}x faster than cold (< 5x)"
-            )
-    load = s.get("load")
-    if not load:
-        errors.append(f"{label}: missing scenario load")
-    else:
-        for key in (
-            "p99_ms",
-            "drop_rate",
-            "goodput_rps",
-            "peak_queue_depth",
-            "queue_capacity",
-            "slo",
-        ):
-            if key not in load:
-                errors.append(f"{label}: load: missing {key}")
-        if "drop_rate" in load and not 0 <= load["drop_rate"] <= 1:
-            errors.append(f"{label}: load: drop_rate outside [0, 1]")
-        if load.get("goodput_rps", 0) <= 0:
-            errors.append(f"{label}: load: no goodput under overload")
-        if load.get("peak_queue_depth", 0) > load.get("queue_capacity", 0):
-            errors.append(
-                f"{label}: load: queue depth {load.get('peak_queue_depth')} "
-                f"exceeded capacity {load.get('queue_capacity')} - admission "
-                "control is not bounding the queue"
-            )
-        if isinstance(load.get("slo"), dict) and not load["slo"].get("pass"):
-            errors.append(f"{label}: load: scenario's own SLO gate failed")
-    socket = s.get("socket")
-    if not socket:
-        errors.append(f"{label}: missing scenario socket")
-    else:
-        for key in (
-            "connections",
-            "p99_ms",
-            "shed_rate",
-            "goodput_rps",
-            "peak_queue_depth",
-            "queue_capacity",
-            "client",
-            "conns",
-            "slo",
-        ):
-            if key not in socket:
-                errors.append(f"{label}: socket: missing {key}")
-        client = socket.get("client")
-        if isinstance(client, dict) and client.get("reader_errors", 0) != 0:
-            errors.append(
-                f"{label}: socket: {client['reader_errors']} client readers "
-                "died on a framing error instead of a clean EOF"
-            )
-        if "shed_rate" in socket and not 0 <= socket["shed_rate"] <= 1:
-            errors.append(f"{label}: socket: shed_rate outside [0, 1]")
-        if socket.get("goodput_rps", 0) <= 0:
-            errors.append(f"{label}: socket: no goodput under overload")
-        if socket.get("peak_queue_depth", 0) > socket.get("queue_capacity", 0):
-            errors.append(
-                f"{label}: socket: queue depth {socket.get('peak_queue_depth')} "
-                f"exceeded capacity {socket.get('queue_capacity')} - admission "
-                "control is not bounding the queue behind the socket transport"
-            )
-        conns = socket.get("conns")
-        if isinstance(conns, dict):
-            if conns.get("transport_errors", 0) != 0:
-                errors.append(
-                    f"{label}: socket: {conns['transport_errors']} transport "
-                    "errors on well-formed client traffic"
-                )
-            if conns.get("accepted", 0) < socket.get("connections", 0):
-                errors.append(
-                    f"{label}: socket: accepted {conns.get('accepted')} "
-                    f"connections, fewer than the {socket.get('connections')} "
-                    "clients - the accept loop lost clients"
-                )
-        if isinstance(socket.get("slo"), dict) and not socket["slo"].get("pass"):
-            errors.append(f"{label}: socket: scenario's own SLO gate failed")
-    persist = s.get("persist")
-    if not persist:
-        errors.append(f"{label}: missing scenario persist")
-    else:
-        for key in (
-            "warm_restart_hit_rate",
-            "recovery_scan_ms",
-            "recovered_entries",
-            "requests_per_sec_warm",
-            "requests_per_sec_degraded",
-            "gate",
-        ):
-            if key not in persist:
-                errors.append(f"{label}: persist: missing {key}")
-        if not persist.get("deterministic", False):
-            errors.append(
-                f"{label}: persist: responses diverged across disk-tier "
-                "configurations"
-            )
-        if not 0 < persist.get("warm_restart_hit_rate", 0) <= 1:
-            errors.append(
-                f"{label}: persist: warm_restart_hit_rate outside (0, 1] - "
-                "the warm restart did not serve from disk"
-            )
-        if persist.get("recovered_entries", 0) <= 0:
-            errors.append(f"{label}: persist: recovery scan indexed nothing")
-        if persist.get("degraded_request_errors", 0) != 0:
-            errors.append(
-                f"{label}: persist: a disk outage surfaced "
-                f"{persist['degraded_request_errors']} request errors - the "
-                "tier must degrade to RAM-only, never error"
-            )
-        if isinstance(persist.get("gate"), dict) and not persist["gate"].get("pass"):
-            errors.append(f"{label}: persist: scenario's own gate failed")
-    memory = s.get("memory")
-    if not memory:
-        errors.append(f"{label}: missing scenario memory")
-    else:
-        for key in ("arena", "heap", "alloc_ratio", "min_alloc_ratio", "ok"):
-            if key not in memory:
-                errors.append(f"{label}: memory: missing {key}")
-        if not memory.get("instrumented", False):
-            errors.append(
-                f"{label}: memory: allocation counters read zero - the harness "
-                "is not linked against the counting allocator"
-            )
-        if not memory.get("modes_agree", False):
-            errors.append(
-                f"{label}: memory: arena and heap modes produced different "
-                "schedules - the arena must never be a result lever"
-            )
-        ratio = memory.get("alloc_ratio", 0)
-        min_ratio = memory.get("min_alloc_ratio", 0)
-        if ratio < min_ratio:
-            errors.append(
-                f"{label}: memory: warmed arena only {ratio:.2f}x fewer heap "
-                f"allocations than heap mode (< {min_ratio:g}x)"
-            )
-        if not memory.get("ok", False):
-            errors.append(f"{label}: memory: scenario's own gate failed")
-    backend = s.get("backend")
-    if not backend:
-        errors.append(f"{label}: missing scenario backend")
-    else:
-        if not backend["deterministic"]:
-            errors.append(f"{label}: backend: a backend diverged or went illegal")
-        for name, entry in backend["per_backend"].items():
-            if not entry["deterministic"]:
-                errors.append(f"{label}: backend: {name} diverged across passes")
-            if not entry["all_legal"]:
-                errors.append(
-                    f"{label}: backend: {name} produced an illegal schedule"
-                )
-            if entry["points_per_sec"] <= 0:
-                errors.append(f"{label}: backend: {name}: bad throughput")
-    it = s.get("iter")
-    if not it:
-        errors.append(f"{label}: missing scenario iter")
-    else:
-        for key in (
-            "budget",
-            "grid",
-            "qor_delta_vs_soft",
-            "improved_points",
-            "max_iterations",
-            "points_per_sec",
-            "gate",
-        ):
-            if key not in it:
-                errors.append(f"{label}: iter: missing {key}")
-        if not it.get("deterministic", False):
-            errors.append(f"{label}: iter: sdc-iter diverged across passes")
-        if not it.get("all_legal", False):
-            errors.append(f"{label}: iter: an iterated schedule went illegal")
-        # The tentpole's QoR story is a hard floor, not a trend: iteration
-        # must never end worse than its soft base run anywhere on the grid,
-        # and must strictly improve at least one point.
-        if it.get("qor_delta_vs_soft", 1) > 0:
-            errors.append(
-                f"{label}: iter: qor_delta_vs_soft "
-                f"{it.get('qor_delta_vs_soft')} > 0 - iteration ended worse "
-                "than its soft base run"
-            )
-        if it.get("improved_points", 0) < 1:
-            errors.append(
-                f"{label}: iter: no grid point improved on soft - the "
-                "iterative loop is a no-op"
-            )
-        if it.get("max_iterations", 0) > it.get("budget", 0):
-            errors.append(
-                f"{label}: iter: {it.get('max_iterations')} iterations "
-                f"exceeded the default budget {it.get('budget')} - no fixed "
-                "point reached"
-            )
-        if it.get("points_per_sec", 0) <= 0:
-            errors.append(f"{label}: iter: bad throughput")
-        if isinstance(it.get("gate"), dict) and not it["gate"].get("pass"):
-            errors.append(f"{label}: iter: scenario's own gate failed")
+        errors += [f"{name}.{check} is {json.dumps(ok)}, not true"
+                   for check, ok in checks.items() if ok is not True]
     return errors
 
 
-def main():
-    if len(sys.argv) != 3:
+def gated_errors(baseline, fresh):
+    table = fresh.get("gated")
+    if not isinstance(table, dict) or not table:
+        return ["fresh document has no gated table"]
+    errors = []
+    print("| Metric | Better | Baseline | Fresh | Limit | Gate |")
+    print("|---|---|---|---|---|---|")
+    for path, spec in sorted(table.items()):
+        try:
+            if not (isinstance(spec, dict) and spec.get("better") in ("higher", "lower")
+                    and is_number(spec.get("tolerance")) and spec["tolerance"] > 0
+                    and is_number(spec.get("floor"))):
+                raise Malformed(f"gated {path} has a bad spec: {spec!r}")
+            base = lookup(baseline, path, "baseline")
+            now = lookup(fresh, path, "fresh")
+        except Malformed as e:
+            errors.append(str(e))
+            continue
+        if spec["better"] == "higher":
+            limit = base / spec["tolerance"]
+            ok = now >= limit
+        else:
+            limit = max(base, spec["floor"]) * spec["tolerance"]
+            ok = now <= limit
+        print(f"| {path} | {spec['better']} | {base:.3g} | {now:.3g} | {limit:.3g} | "
+              f"{'ok' if ok else 'FAIL'} |")
+        if not ok:
+            errors.append(f"{path} regressed past its limit {limit:.3g} "
+                          f"({spec['better']} is better): {base:.3g} -> {now:.3g}")
+    return errors
+
+
+def main(argv):
+    if len(argv) != 3:
         print("usage: bench_gate.py BASELINE.json FRESH.json", file=sys.stderr)
         return 2
-    # Anything malformed - truncated JSON, a partial scenario block, missing
-    # metrics - must come out as a readable gate failure in the summary, not
-    # a traceback, so the whole load/validate/extract phase shares one net.
-    errors = []
+    print("### Benchmark gate\n")
     try:
-        with open(sys.argv[1]) as f:
-            baseline = json.load(f)
-        with open(sys.argv[2]) as f:
-            fresh = json.load(f)
-        errors = validate(fresh, "fresh")
-        base_metrics = metrics(baseline)
-        fresh_metrics = metrics(fresh)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
-        errors.append(f"malformed benchmark document: {e!r}")
-        print("### Benchmark gate\n\n**Gate failed:**")
-        for err in errors:
-            print(f"- {err}")
-            print(f"bench_gate: {err}", file=sys.stderr)
-        return 1
-
-    # Only the headline metrics gate; the rest are reported for trend-reading.
-    gated = {
-        "refinement_storm.speedup",
-        "dse.points_per_sec_multi",
-        "serve.requests_per_sec_hot",
-        "serve.hit_rate",
-        "backend.soft_points_per_sec",
-        "iter.points_per_sec",
-        "persist.warm_restart_hit_rate",
-        "memory.alloc_ratio",
-    }
-
-    print("### Benchmark gate (fail only on >%.0fx regression)\n" % TOLERANCE)
-    print("| Metric | Baseline | Fresh | Ratio | Gate |")
-    print("|---|---|---|---|---|")
-    for name in sorted(base_metrics):
-        base, now = base_metrics[name], fresh_metrics[name]
-        ratio = now / base if base > 0 else float("inf")
-        if name in LOWER_IS_BETTER:
-            tolerance, floor = LOWER_IS_BETTER[name]
-            if now > max(base, floor) * tolerance:
-                status = "FAIL"
-                errors.append(
-                    f"{name} regressed more than {tolerance}x "
-                    f"(floor {floor:g}): {base:.3g} -> {now:.3g}"
-                )
-            else:
-                status = "ok"
-        elif name in gated and now < base / TOLERANCE:
-            status = "FAIL"
-            errors.append(
-                f"{name} regressed more than {TOLERANCE}x: {base:.3g} -> {now:.3g}"
-            )
-        else:
-            status = "ok" if name in gated else "info"
-        print(f"| {name} | {base:.3g} | {now:.3g} | {ratio:.2f}x | {status} |")
-
-    dse = fresh["scenarios"]["dse"]
-    print(
-        f"\ndse: {dse['total_points']} points on {dse['threads']} threads, "
-        f"multi-thread speedup {dse['speedup']:.2f}x, "
-        f"deterministic={dse['deterministic']}"
-    )
-    serve = fresh["scenarios"]["serve"]
-    print(
-        f"\nserve: {serve['requests']} requests over {serve['catalog']} designs "
-        f"on {serve['jobs']} jobs, hot/cold speedup "
-        f"{serve['speedup_hot_over_cold']:.1f}x, hit rate {serve['hit_rate']:.3f}, "
-        f"deterministic={serve['deterministic']}"
-    )
-    backend = fresh["scenarios"]["backend"]
-    print(
-        f"\nbackend: {len(backend['designs'])} designs under "
-        f"{backend['constraint']} across {len(backend['per_backend'])} backends "
-        f"({', '.join(backend['per_backend'])}), "
-        f"deterministic={backend['deterministic']}"
-    )
-    it = fresh["scenarios"]["iter"]
-    print(
-        f"\niter: {len(it['grid'])} grid points at budget {it['budget']}, "
-        f"qor delta vs soft {it['qor_delta_vs_soft']:+.0f} states "
-        f"({it['improved_points']} points improved), max iterations "
-        f"{it['max_iterations']}, {it['points_per_sec']:.0f} points/sec, "
-        f"gate_pass={it['gate']['pass']}"
-    )
-    load = fresh["scenarios"]["load"]
-    print(
-        f"\nload: {load['replay_requests']} requests at "
-        f"{load['overload_factor']:.0f}x sustainable on {load['jobs']} jobs, "
-        f"p99 {load['p99_ms']:.2f} ms, drop rate {load['drop_rate']:.3f}, "
-        f"goodput {load['goodput_rps']:.0f} rps, peak queue "
-        f"{load['peak_queue_depth']}/{load['queue_capacity']}, "
-        f"slo_pass={load['slo']['pass']}"
-    )
-    socket = fresh["scenarios"]["socket"]
-    print(
-        f"\nsocket: {socket['replay_requests']} requests over "
-        f"{socket['connections']} connections at "
-        f"{socket['overload_factor']:.0f}x sustainable "
-        f"({socket['conns']['accepted']} accepts with churn), "
-        f"p99 {socket['p99_ms']:.2f} ms, shed rate {socket['shed_rate']:.3f}, "
-        f"goodput {socket['goodput_rps']:.0f} rps, "
-        f"slo_pass={socket['slo']['pass']}"
-    )
-    memory = fresh["scenarios"]["memory"]
-    print(
-        f"\nmemory: warmed arena {memory['arena']['allocations_per_design']:.1f} "
-        f"vs heap {memory['heap']['allocations_per_design']:.1f} heap "
-        f"allocations/design ({memory['alloc_ratio']:.1f}x, gate "
-        f"{memory['min_alloc_ratio']:g}x), peak live "
-        f"{memory['peak_live_bytes']} bytes in {memory['arena_blocks']} arena "
-        f"blocks, modes_agree={memory['modes_agree']}"
-    )
-    persist = fresh["scenarios"]["persist"]
-    print(
-        f"\npersist: {persist['recovered_entries']} records recovered in "
-        f"{persist['recovery_scan_ms']:.2f} ms, warm-restart hit rate "
-        f"{persist['warm_restart_hit_rate']:.3f}, degraded-mode "
-        f"{persist['requests_per_sec_degraded']:.0f} rps with "
-        f"{persist.get('degraded_request_errors', 0)} request errors, "
-        f"gate_pass={persist['gate']['pass']}"
-    )
-
+        baseline = load(argv[1], BASELINE_SCHEMAS)
+        fresh = load(argv[2], (SCHEMA,))
+        errors = block_errors(baseline, fresh) + gated_errors(baseline, fresh)
+    except Malformed as e:
+        errors = [f"malformed benchmark document: {e}"]
     if errors:
         print("\n**Gate failed:**")
         for e in errors:
             print(f"- {e}")
-        for e in errors:
             print(f"bench_gate: {e}", file=sys.stderr)
         return 1
-    print("\nGate passed.")
+    print("\nEvery block's checks are true. Gate passed.")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
