@@ -73,8 +73,6 @@ point_result run_point(const grid_spec& spec, const design_point& point,
                        const sched::scheduler_backend& backend,
                        const sched::backend_options& options,
                        sched::run_context& ctx) {
-  SOFTSCHED_EXPECT(options.meta != meta::meta_kind::random,
-                   "exploration needs a deterministic meta schedule");
   point_result r;
   r.point = point;
   r.backend = backend.name();
@@ -147,13 +145,10 @@ exploration_result run_exploration(const grid_spec& spec,
     // a 1-worker pool), and a context never changes a point's values.
     thread_pool pool(out.jobs);
     const auto mode = options.arena ? sched::arena_mode::on : sched::arena_mode::off;
-    const std::size_t block = options.arena_block_bytes > 0
-                                  ? options.arena_block_bytes
-                                  : util::arena::default_block_bytes;
     std::vector<std::unique_ptr<sched::run_context>> contexts;
     contexts.reserve(out.jobs + 1);
     for (unsigned c = 0; c <= out.jobs; ++c)
-      contexts.push_back(std::make_unique<sched::run_context>(mode, block));
+      contexts.push_back(std::make_unique<sched::run_context>(mode));
     parallel_for_index(&pool, total, [&](std::size_t i) {
       const std::size_t b = i / points.size();
       const int worker = thread_pool::current_worker_index();

@@ -66,7 +66,7 @@ struct exploration_result {
 
 struct exploration_options {
   int jobs = 0; ///< worker threads; < 1 means thread_pool::hardware_workers()
-  meta::meta_kind meta = meta::meta_kind::list_priority; ///< not `random`
+  meta::meta_kind meta = meta::meta_kind::list_priority;
   /// Scheduler backends to fan the grid out over (registry names, see
   /// sched::backend_names()); empty means {"soft"}. Unknown names throw
   /// precondition_error before any point runs.
@@ -78,7 +78,6 @@ struct exploration_options {
   /// Per-worker run_context arenas (off = the heap baseline); never changes
   /// a point's values - the jobs-1-vs-jobs-N property holds either way.
   bool arena = true;
-  std::size_t arena_block_bytes = 0; ///< 0 = util::arena::default_block_bytes
 };
 
 /// Schedules one grid point in isolation with the soft scheduler (also the

@@ -1,6 +1,7 @@
 #include "meta/meta_schedule.h"
 
 #include <algorithm>
+#include <string>
 
 #include "graph/topo.h"
 #include "util/check.h"
@@ -13,9 +14,17 @@ std::string_view meta_name(meta_kind kind) noexcept {
   case meta_kind::topological: return "meta sched2";
   case meta_kind::path_based: return "meta sched3";
   case meta_kind::list_priority: return "meta sched4";
-  case meta_kind::random: return "random";
   }
   return "unknown";
+}
+
+meta_kind parse_meta_kind(std::string_view name) {
+  // Indexed by meta_kind value.
+  constexpr std::string_view spellings[] = {"dfs", "topo", "path", "list"};
+  for (std::size_t i = 0; i < std::size(spellings); ++i)
+    if (spellings[i] == name) return static_cast<meta_kind>(i);
+  throw precondition_error("unknown meta schedule '" + std::string(name) +
+                           "' (expected dfs|topo|path|list)");
 }
 
 namespace {
@@ -107,8 +116,6 @@ std::vector<vertex_id> meta_schedule(const precedence_graph& g, meta_kind kind) 
     return order;
   }
   case meta_kind::list_priority: return list_priority_order(g);
-  case meta_kind::random:
-    throw precondition_error("random meta schedule needs an rng; call random_meta_schedule");
   }
   throw precondition_error("unknown meta schedule kind");
 }

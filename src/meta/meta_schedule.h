@@ -6,9 +6,10 @@
 //   3. path partition, paths fed longest-first,
 //   4. a list-scheduling-like priority order.
 //
-// A random order is provided on top for the property tests and the
-// meta-sensitivity ablation (bench/meta_ablation): soft scheduling must
-// stay *correct* under any permutation; quality is what varies.
+// Random orders are not a meta_kind: random_meta_schedule provides them
+// for the property tests and the meta-sensitivity ablation
+// (bench/meta_ablation) - soft scheduling must stay *correct* under any
+// permutation; quality is what varies.
 #pragma once
 
 #include <string_view>
@@ -22,24 +23,28 @@ namespace softsched::meta {
 using graph::precedence_graph;
 using graph::vertex_id;
 
-/// The meta schedules of the paper's Figure 3, plus `random`.
+/// The meta schedules of the paper's Figure 3. The numeric values feed
+/// the serve cache-key salt (sched::backend_option_salt): never renumber.
 enum class meta_kind {
   depth_first,   ///< meta sched 1
   topological,   ///< meta sched 2
   path_based,    ///< meta sched 3
   list_priority, ///< meta sched 4
-  random,        ///< extension: uniform random permutation
 };
 
 inline constexpr meta_kind figure3_meta_kinds[] = {
     meta_kind::depth_first, meta_kind::topological, meta_kind::path_based,
     meta_kind::list_priority};
 
-/// Paper-style display name ("meta sched1" ... "meta sched4", "random").
+/// Paper-style display name ("meta sched1" ... "meta sched4").
 [[nodiscard]] std::string_view meta_name(meta_kind kind) noexcept;
 
-/// Computes the vertex order for a deterministic meta schedule. `kind`
-/// must not be meta_kind::random (that overload needs an rng).
+/// The one name table ("dfs", "topo", "path", "list"), shared by the
+/// CLI's --meta and the serve request field "meta". Throws
+/// precondition_error naming the four for anything else.
+[[nodiscard]] meta_kind parse_meta_kind(std::string_view name);
+
+/// Computes the vertex order for a meta schedule.
 [[nodiscard]] std::vector<vertex_id> meta_schedule(const precedence_graph& g,
                                                    meta_kind kind);
 
@@ -60,7 +65,7 @@ struct meta_scratch {
 void meta_schedule(const precedence_graph& g, meta_kind kind, meta_scratch& scratch,
                    std::vector<vertex_id>& out);
 
-/// Random meta order.
+/// Random meta order: a uniform permutation of the vertices.
 [[nodiscard]] std::vector<vertex_id> random_meta_schedule(const precedence_graph& g,
                                                           rng& rand);
 

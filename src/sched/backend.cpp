@@ -80,8 +80,6 @@ public:
 
   [[nodiscard]] backend_outcome run(const run_request& request,
                                     run_context& ctx) const override {
-    SOFTSCHED_EXPECT(request.options.meta != meta::meta_kind::random,
-                     "backend runs need a deterministic meta schedule");
     ctx.begin_run();
     meta::meta_schedule(request.design.graph(), request.options.meta, ctx.meta,
                         ctx.meta_order);
@@ -284,8 +282,6 @@ public:
   ///      improvement reproduces itself forever, so it is one.
   [[nodiscard]] backend_outcome run(const run_request& request,
                                     run_context& ctx) const override {
-    SOFTSCHED_EXPECT(request.options.meta != meta::meta_kind::random,
-                     "backend runs need a deterministic meta schedule");
     const long long budget = request.options.iter_budget < 0
                                  ? sdc_iter_default_budget
                                  : request.options.iter_budget;

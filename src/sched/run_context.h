@@ -41,7 +41,7 @@ namespace softsched::sched {
 /// participate in the serve cache key via the meta salt - see
 /// backend_option_salt in backend.h).
 struct backend_options {
-  meta::meta_kind meta = meta::meta_kind::list_priority; ///< soft feed order; never `random`
+  meta::meta_kind meta = meta::meta_kind::list_priority; ///< soft / sdc-iter feed order
   /// Force-directed latency budget; -1 = search the smallest budget whose
   /// FDS schedule fits the allocation (what makes FDS resource-comparable).
   long long fds_latency = -1;
@@ -102,9 +102,12 @@ public:
   // -- backend scratch ----------------------------------------------------
   // Owned by the backend between begin_run() and the end of run(); opaque
   // (and possibly dangling into the previous request's graph) outside that
-  // window. Consumers must not touch these.
+  // window. Consumers must not touch these, except `state` as below.
 
   /// The soft scheduling state, rebuilt per run over the context's arena.
+  /// After a feasible run() of a caps().refinable backend it stays live
+  /// until the next begin_run(), for the caller to refine in place
+  /// (refine::apply_spill, apply_wire_delay), extract or print.
   std::optional<core::threaded_graph> state;
   /// Thread-tag staging for core::make_hls_state.
   std::vector<int> thread_tags;

@@ -160,18 +160,14 @@ service::service(const service_options& options)
     disk_cache_options disk;
     disk.directory = options_.cache_dir;
     disk.byte_budget = options_.disk_cache_bytes;
-    disk.flush_queue_capacity = std::max<std::size_t>(options_.disk_flush_queue, 1);
     disk.faults = options_.faults.io;
     disk_ = std::make_unique<disk_cache>(disk);
   }
   pool_ = std::make_unique<thread_pool>(jobs_);
   const auto mode = options_.arena ? sched::arena_mode::on : sched::arena_mode::off;
-  const std::size_t block = options_.arena_block_bytes > 0
-                                ? options_.arena_block_bytes
-                                : util::arena::default_block_bytes;
   contexts_.reserve(jobs_ + 1);
   for (unsigned i = 0; i <= jobs_; ++i)
-    contexts_.push_back(std::make_unique<sched::run_context>(mode, block));
+    contexts_.push_back(std::make_unique<sched::run_context>(mode));
 }
 
 sched::run_context& service::context_for_current_thread() noexcept {
@@ -589,7 +585,7 @@ connection_summary serve_connection(byte_stream& stream, service& svc,
   std::uint64_t seq = 0;
 
   for (;;) {
-    frame_read frame = read_frame(stream, options.limits);
+    frame_read frame = read_frame(stream);
     if (frame.status == frame_status::eof) break;
     if (frame.status == frame_status::error) {
       // Framing is unrecoverable on this stream - after a malformed frame
@@ -675,7 +671,6 @@ daemon_summary run_daemon(std::istream& in, std::ostream& out,
 
   connection_options copt;
   copt.ordered = options.ordered;
-  copt.limits = options.limits;
   const connection_summary conn = serve_connection(stream, svc, copt, &counters);
   // The connection gate releases when the last response is written; the
   // service-level drain additionally orders the counter updates behind it,

@@ -134,13 +134,11 @@ struct service_options {
   // write-behind-queued for a background flusher.
   std::string cache_dir;
   std::size_t disk_cache_bytes = 0;
-  std::size_t disk_flush_queue = 256; ///< write-behind bound (>= 1)
 
   // Per-worker scheduling arenas (docs/DESIGN.md §8). Off = the heap
   // baseline the nightly storm cross-validates against; the mode can never
   // change a response byte, only allocation traffic and `ms`.
   bool arena = true;
-  std::size_t arena_block_bytes = 0; ///< 0 = util::arena::default_block_bytes
 };
 
 /// The scheduling service: bounded-queue admission, streaming completion
@@ -274,7 +272,6 @@ struct daemon_options {
   service_options service;
   bool ordered = false; ///< input-order responses instead of
                         ///< streaming-as-completed
-  frame_limits limits;
   std::size_t max_connections = 64; ///< socket front-ends: accepted-but-open
                                     ///< bound; beyond it connections shed
 };
@@ -293,7 +290,6 @@ enum class connection_end {
 /// the retry hint come from the service's own options).
 struct connection_options {
   bool ordered = false;
-  frame_limits limits;
 };
 
 /// Per-connection accounting.

@@ -93,7 +93,9 @@ bool read_whole_file(const std::string& path, std::string& out, bool& missing) {
 } // namespace
 
 std::string disk_cache::record_filename(const ir::dfg_digest& key) {
-  return key.hex() + ".rec";
+  std::string name = key.hex();
+  name += ".rec";
+  return name;
 }
 
 std::string disk_cache::serialize_record(const ir::dfg_digest& key,
@@ -568,8 +570,7 @@ disk_import_summary disk_cache::import_from(std::istream& in) {
     byte_reader r(record);
     const std::uint32_t magic = r.u32();
     const std::uint32_t version = r.u32();
-    r.u64();
-    r.u64();
+    const ir::dfg_digest key{r.u64(), r.u64()};
     const std::uint64_t payload_len = r.u64();
     // A bad length field makes resynchronization unsafe: stop rather than
     // guess where the next record starts.
@@ -590,7 +591,7 @@ disk_import_summary disk_cache::import_from(std::istream& in) {
       ++summary.corrupt_skipped;
       break;
     }
-    if (!degraded_) store_locked(decoded->first, decoded->second);
+    if (!degraded_) store_locked(key, decoded->second);
     ++summary.imported;
   }
   return summary;

@@ -4,18 +4,10 @@
 
 namespace softsched::serve {
 
-arena_flag parse_arena_flag(const std::string& value) {
-  if (value == "on") return {true, 0};
-  if (value == "off") return {false, 0};
-  std::size_t bytes = 0;
-  for (const char c : value) {
-    SOFTSCHED_EXPECT(c >= '0' && c <= '9',
-                     "--arena must be on, off, or a positive block byte count");
-    bytes = bytes * 10 + static_cast<std::size_t>(c - '0');
-  }
-  SOFTSCHED_EXPECT(!value.empty() && bytes > 0,
-                   "--arena must be on, off, or a positive block byte count");
-  return {true, bytes};
+bool parse_arena_flag(const std::string& value) {
+  if (value == "on") return true;
+  if (value == "off") return false;
+  throw precondition_error("--arena must be on or off, got '" + value + "'");
 }
 
 void validate_serve_flags(const serve_flags& flags) {
@@ -42,9 +34,7 @@ daemon_options daemon_options_from_flags(const serve_flags& flags) {
   opt.service.faults = fault_plan::from_env();
   opt.service.cache_dir = flags.cache_dir;
   opt.service.disk_cache_bytes = static_cast<std::size_t>(flags.disk_cache_mb) << 20;
-  const arena_flag arena = parse_arena_flag(flags.arena);
-  opt.service.arena = arena.enabled;
-  opt.service.arena_block_bytes = arena.block_bytes;
+  opt.service.arena = parse_arena_flag(flags.arena);
   opt.ordered = flags.serve_ordered;
   opt.max_connections = static_cast<std::size_t>(flags.max_conns);
   return opt;

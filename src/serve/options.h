@@ -26,20 +26,14 @@ struct serve_flags {
   bool serve_compact = false; ///< --serve-compact
   std::string cache_dir;      ///< --cache-dir (empty = disk tier off)
   std::string listen = "stdio"; ///< --listen (stdio | tcp:HOST:PORT | unix:PATH)
-  std::string arena = "on";   ///< --arena (on | off | <block bytes>)
+  std::string arena = "on";   ///< --arena (on | off)
 };
 
-/// --arena, parsed: on (default block size), off (heap baseline), or a
-/// positive byte count selecting the arena block size. Shared by the serve
-/// surface and the CLI's single-run/compare modes so the grammar exists
-/// exactly once.
-struct arena_flag {
-  bool enabled = true;
-  std::size_t block_bytes = 0; ///< 0 = util::arena::default_block_bytes
-};
-
-/// Throws precondition_error on anything but on | off | positive integer.
-[[nodiscard]] arena_flag parse_arena_flag(const std::string& value);
+/// --arena, parsed: true = per-worker arenas (on), false = the heap
+/// baseline (off). Shared by the serve surface and the CLI's other modes
+/// so the grammar exists exactly once. Throws precondition_error on
+/// anything but on | off.
+[[nodiscard]] bool parse_arena_flag(const std::string& value);
 
 /// The single error path: throws precondition_error naming the offending
 /// flag for any out-of-range value or malformed --listen spec. Both
@@ -50,10 +44,9 @@ void validate_serve_flags(const serve_flags& flags);
 /// --listen, parsed (and validated as part of validate_serve_flags).
 [[nodiscard]] listen_spec listen_from_flags(const serve_flags& flags);
 
-/// Serving options, transport-independent: service knobs, ordering, frame
-/// limits, the --max-conns bound. --serve uses all of it, --serve-batch
-/// only `service`. SOFTSCHED_INJECT is consumed here in full
-/// (slot/shard/io/conn).
+/// Serving options, transport-independent: service knobs, ordering, the
+/// --max-conns bound. --serve uses all of it, --serve-batch only
+/// `service`. SOFTSCHED_INJECT is consumed here in full (slot/shard/io/conn).
 [[nodiscard]] daemon_options daemon_options_from_flags(const serve_flags& flags);
 
 } // namespace softsched::serve

@@ -5,6 +5,7 @@
 
 #include "ir/dfg_io.h"
 #include "sched/backend.h"
+#include "util/check.h"
 
 namespace softsched::serve {
 
@@ -47,12 +48,11 @@ std::string request::source_signature() const {
 }
 
 meta::meta_kind parse_request_meta(const std::string& name) {
-  if (name == "dfs") return meta::meta_kind::depth_first;
-  if (name == "topo") return meta::meta_kind::topological;
-  if (name == "path") return meta::meta_kind::path_based;
-  if (name == "list") return meta::meta_kind::list_priority;
-  throw json_error("unknown meta schedule '" + name +
-                   "' (expected dfs|topo|path|list)");
+  try {
+    return meta::parse_meta_kind(name);
+  } catch (const precondition_error& e) {
+    bad_field("meta", e.what());
+  }
 }
 
 request parse_request(const json_value& object) {

@@ -31,7 +31,7 @@ struct request {
   std::string dfg_text;         ///< inline .dfg format source (dfg_io)
   ir::resource_set resources{2, 2, 1};
   int mul_latency = 2;
-  meta::meta_kind meta = meta::meta_kind::list_priority; ///< never `random`
+  meta::meta_kind meta = meta::meta_kind::list_priority;
   /// Scheduler backend (registry name); validated at parse time, mixed
   /// into the schedule cache key so backends never share cache entries.
   std::string backend = "soft";
@@ -49,15 +49,15 @@ struct request {
 
 /// Parses one request object. Throws json_error with a field-level message
 /// on malformed input: wrong types, out-of-range values, zero or multiple
-/// design sources, unknown keys, or meta "random" (a served schedule must
-/// be reproducible from the request alone).
+/// design sources, unknown keys, or an unknown meta name.
 [[nodiscard]] request parse_request(const json_value& object);
 
 /// Convenience: parse the JSON text of one request line.
 [[nodiscard]] request parse_request_line(std::string_view text);
 
-/// Meta-kind name used by the request schema ("dfs", "topo", "path",
-/// "list"). Throws json_error for anything else, including "random".
+/// The request field "meta", through meta::parse_meta_kind's name table
+/// ("dfs", "topo", "path", "list"). Throws json_error "request field
+/// 'meta': unknown meta schedule ..." for anything else.
 [[nodiscard]] meta::meta_kind parse_request_meta(const std::string& name);
 
 /// Builds the request's DFG against `library` (which the caller must have

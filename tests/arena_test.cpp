@@ -212,21 +212,12 @@ TEST(ServeParity, ArenaOnOffByteIdenticalAcrossJobsAndCaches) {
       }
     }
   }
-  // A pathologically small block size only changes how many blocks the
-  // arena chains, never a byte of output.
-  sv::service_options tiny;
-  tiny.jobs = 4;
-  tiny.arena = true;
-  tiny.arena_block_bytes = 256;
-  EXPECT_EQ(modulo_ms(tiny), expected);
 }
 
 TEST(ServeParity, ArenaFlagGrammarRoundTrips) {
-  EXPECT_TRUE(sv::parse_arena_flag("on").enabled);
-  EXPECT_FALSE(sv::parse_arena_flag("off").enabled);
-  const sv::arena_flag sized = sv::parse_arena_flag("65536");
-  EXPECT_TRUE(sized.enabled);
-  EXPECT_EQ(sized.block_bytes, 65536u);
+  EXPECT_TRUE(sv::parse_arena_flag("on"));
+  EXPECT_FALSE(sv::parse_arena_flag("off"));
+  EXPECT_THROW((void)sv::parse_arena_flag("65536"), softsched::precondition_error);
   EXPECT_THROW((void)sv::parse_arena_flag(""), softsched::precondition_error);
   EXPECT_THROW((void)sv::parse_arena_flag("0"), softsched::precondition_error);
   EXPECT_THROW((void)sv::parse_arena_flag("64k"), softsched::precondition_error);

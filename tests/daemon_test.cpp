@@ -694,9 +694,10 @@ TEST(ServeBatch, NarrowQueueNeverShedsAndAnswersInInputOrder) {
   opt.queue_capacity = 2;
   opt.faults = sv::fault_plan::parse("slot=0:delay_ms=2");
   sv::service svc(opt);
+  const std::string fig1 = R"({"bench":"fig1"})";
+  const std::string hal = R"({"bench":"hal","alus":1})";
   std::vector<std::string> lines;
-  for (int i = 0; i < 24; ++i)
-    lines.push_back(i % 2 == 0 ? R"({"bench":"fig1"})" : R"({"bench":"hal","alus":1})");
+  for (int i = 0; i < 24; ++i) lines.push_back(i % 2 == 0 ? fig1 : hal);
   const std::vector<std::string> out = batch_session::run(svc, lines);
   ASSERT_EQ(out.size(), lines.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -812,8 +813,7 @@ TEST(ServeDaemon, OverloadShedsWithOverloadedFramesInOrder) {
   // Tiny queue + injected slot delay: a burst must produce a mix of real
   // and "overloaded" responses - exactly one frame per request, in input
   // order under --serve-ordered.
-  std::vector<std::string> lines;
-  for (int i = 0; i < 8; ++i) lines.push_back(R"({"bench":"fig1"})");
+  const std::vector<std::string> lines(8, R"({"bench":"fig1"})");
   std::istringstream in(framed(lines));
   std::ostringstream out;
   sv::daemon_options opt;
@@ -898,7 +898,7 @@ TEST(ServeFlags, MapIntoEngineAndDaemonOptions) {
   f.listen = "unix:/tmp/softsched-flags.sock";
   f.cache_dir = "store";
   f.disk_cache_mb = 2;
-  f.arena = "4096";
+  f.arena = "off";
   const sv::daemon_options d = sv::daemon_options_from_flags(f);
   EXPECT_EQ(d.service.jobs, 3);
   EXPECT_EQ(d.service.cache_bytes, 8u << 20);
@@ -906,8 +906,7 @@ TEST(ServeFlags, MapIntoEngineAndDaemonOptions) {
   EXPECT_FALSE(d.service.emit_schedule);
   EXPECT_EQ(d.service.cache_dir, "store");
   EXPECT_EQ(d.service.disk_cache_bytes, 2u << 20);
-  EXPECT_TRUE(d.service.arena);
-  EXPECT_EQ(d.service.arena_block_bytes, 4096u);
+  EXPECT_FALSE(d.service.arena);
   EXPECT_TRUE(d.ordered);
   EXPECT_EQ(d.max_connections, 5u);
   EXPECT_EQ(sv::listen_from_flags(f).path, "/tmp/softsched-flags.sock");

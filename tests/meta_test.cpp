@@ -32,7 +32,6 @@ TEST(MetaSchedule, NamesMatchPaperRows) {
   EXPECT_EQ(sm::meta_name(sm::meta_kind::topological), "meta sched2");
   EXPECT_EQ(sm::meta_name(sm::meta_kind::path_based), "meta sched3");
   EXPECT_EQ(sm::meta_name(sm::meta_kind::list_priority), "meta sched4");
-  EXPECT_EQ(sm::meta_name(sm::meta_kind::random), "random");
 }
 
 TEST(MetaSchedule, AllKindsProducePermutations) {
@@ -74,12 +73,6 @@ TEST(MetaSchedule, PathBasedStartsWithCriticalPath) {
   EXPECT_EQ(walked, labels.diameter) << "first peeled path must be critical";
   for (std::size_t j = 1; j <= i; ++j)
     EXPECT_TRUE(g.has_edge(order[j - 1], order[j]));
-}
-
-TEST(MetaSchedule, RandomKindThroughDeterministicEntryThrows) {
-  const sg::precedence_graph g = sample_graph(55);
-  EXPECT_THROW((void)sm::meta_schedule(g, sm::meta_kind::random),
-               softsched::precondition_error);
 }
 
 TEST(MetaSchedule, DepthFirstDivesBeforeWidening) {

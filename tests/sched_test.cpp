@@ -266,11 +266,13 @@ TEST(SchedContext, OneContextReusedAcrossRunsMatchesFreshContexts) {
 
 TEST(SchedContext, ArenaOffMatchesArenaOn) {
   // arena_mode::off is the cross-validated heap baseline: same outcome,
-  // different memory source. Both contexts are reused across runs so the
-  // comparison also covers steady-state reuse.
+  // different memory source. All contexts are reused across runs so the
+  // comparison also covers steady-state reuse, and a pathologically small
+  // block size only changes how many blocks the arena chains.
   const si::resource_library lib;
   ss::run_context with_arena(ss::arena_mode::on);
   ss::run_context heap(ss::arena_mode::off);
+  ss::run_context tiny_blocks(ss::arena_mode::on, 256);
   ASSERT_TRUE(with_arena.arena_enabled());
   ASSERT_FALSE(heap.arena_enabled());
   EXPECT_EQ(heap.arena(), nullptr);
@@ -280,7 +282,9 @@ TEST(SchedContext, ArenaOffMatchesArenaOn) {
     for (const ss::scheduler_backend* backend : ss::registered_backends()) {
       const ss::backend_outcome a = backend->run({d, lib, rs, {}}, with_arena);
       const ss::backend_outcome h = backend->run({d, lib, rs, {}}, heap);
+      const ss::backend_outcome t = backend->run({d, lib, rs, {}}, tiny_blocks);
       EXPECT_TRUE(a.same_outcome(h)) << name << " " << backend->name();
+      EXPECT_TRUE(t.same_outcome(h)) << name << " " << backend->name();
     }
   }
   // The arena really was in play: blocks were carved and recycled.
@@ -428,9 +432,10 @@ TEST(SchedIter, QoRIsMonotoneNonWorseningInTheBudget) {
         const ss::backend_outcome r = run_once(iter, d, lib, rs, opt);
         ASSERT_TRUE(r.feasible) << name << " " << rs.label();
         EXPECT_LE(r.iterations, budget);
-        if (previous >= 0)
+        if (previous >= 0) {
           EXPECT_LE(r.latency, previous)
               << name << " " << rs.label() << " budget " << budget;
+        }
         previous = r.latency;
       }
     }

@@ -203,6 +203,17 @@ TEST(ServeRequest, RejectsMalformedRequests) {
   EXPECT_THROW(sv::parse_request_line(R"({"random":0})"), json_error);
 }
 
+TEST(ServeRequest, UnknownMetaErrorNamesTheField) {
+  // The documented text (docs/SERVING.md), field prefix included, as a
+  // --serve-batch client sees it.
+  const std::vector<std::string> lines =
+      batch_session::run(on_jobs(1), {R"({"bench":"ewf","meta":"zzz"})"});
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(batch_session::text(batch_session::parsed(lines)[0], "error"),
+            "request field 'meta': unknown meta schedule 'zzz' (expected "
+            "dfs|topo|path|list)");
+}
+
 TEST(ServeRequest, SourceSignatureSeparatesDesignsAndLatency) {
   const sv::request a = sv::parse_request_line(R"({"bench":"ewf"})");
   const sv::request b = sv::parse_request_line(R"({"bench":"ewf","alus":4})");

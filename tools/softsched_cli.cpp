@@ -1,8 +1,9 @@
 // softsched_cli - command-line driver for the whole flow: load a design
 // (built-in benchmark, .dfg file, or behavioral .beh source), schedule it
-// with any registered scheduler backend (soft = the threaded kernel with a
-// chosen meta order, list, fds - see src/sched/backend.h), optionally
-// apply refinements, and print tables / Gantt charts / DOT.
+// with any registered scheduler backend through the registry (soft, list,
+// fds, sdc-iter - see src/sched/backend.h), optionally refine the live
+// state a refinable backend leaves behind, and print tables / Gantt charts
+// / DOT.
 //
 // Examples:
 //   softsched_cli --bench ewf --alus 2 --muls 2 --gantt
@@ -12,17 +13,18 @@
 //   softsched_cli --compare --bench ewf --alus 2 --muls 2
 //   softsched_cli --explore --bench ewf --backend all --jobs 8
 //   softsched_cli --serve-batch requests.jsonl --out responses.jsonl --jobs 8
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/hls_binding.h"
 #include "core/state_dot.h"
 #include "core/threaded_graph.h"
 #include "explore/dse.h"
@@ -40,10 +42,8 @@
 #include "serve/options.h"
 #include "serve/socket.h"
 #include "regalloc/lifetime.h"
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/json.h"
-#include "util/rng.h"
 #include "util/table.h"
 
 namespace si = softsched::ir;
@@ -56,34 +56,44 @@ namespace sl = softsched::lang;
 namespace sf = softsched::refine;
 namespace ss = softsched::sched;
 namespace sv = softsched::serve;
-using sg::vertex_id;
 
 namespace {
+
+/// A malformed command line: main prints it above the usage text and exits 2.
+struct usage_error : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Flag ranges: the serve request schema's where it has one (unit counts,
+// iter_budget, mul_latency, seed, random size), otherwise chosen here.
+constexpr long long max_units = 1'000'000;
+constexpr long long max_jobs = 1024;
+constexpr long long max_latency = 1'000'000; // --latency and --wire delays
+constexpr long long max_seed = 1LL << 53;
 
 struct options {
   std::string bench;
   std::string dfg_file;
   std::string beh_file;
-  std::string scheduler = "threaded";
-  std::string backend;   // registry name, "all", or comma list; wins over --scheduler
+  std::string backend = "soft"; // registry name, "all", or comma list
   bool compare = false;  // run every registered backend, print the comparison table
-  std::string meta = "list";
+  std::string meta = "list"; // as typed; parsed into run_options.meta
+  ss::backend_options run_options; // --meta, --latency, --iter-budget
+  ss::arena_mode arena = ss::arena_mode::on; // --arena, parsed
   std::uint64_t seed = 1;
-  long long latency = -1; // fds target; -1 = critical path + 2
-  long long iter_budget = -1; // sdc-iter refinement budget; -1 = backend default
   int alus = 2;
   int muls = 2;
   int mems = 1;
   bool alus_set = false, muls_set = false, mems_set = false;
   std::vector<std::string> spills;
   std::vector<std::string> wires; // from:to:delay
+  std::string live_flag; // last of --spill/--wire/--stats/--dot: needs the live state
   bool gantt = false;
   bool stats = false;
   bool registers = false;
   std::string dot_file;
   // design-space exploration mode
   bool explore = false;
-  int jobs = 0; // 0 = all hardware threads
   std::string alus_range, muls_range, mems_range, mul_lat_range; // "lo:hi" or "n"
   std::string iter_budget_range; // sdc-iter budget axis, "lo:hi" or "n"
   std::string explore_out;
@@ -108,22 +118,21 @@ struct options {
       << "scheduling:\n"
       << "  --backend <soft|list|fds|sdc-iter|all>          scheduler backend (soft)\n"
       << "  --compare                                       all backends, one table\n"
-      << "  --scheduler <threaded|list|fds>                 legacy alias of --backend\n"
-      << "  --meta <dfs|topo|path|list|random>              soft-backend feed order\n"
-      << "  --seed <n>                                      random meta seed\n"
+      << "  --meta <dfs|topo|path|list>                     soft/sdc-iter feed order\n"
       << "  --latency <n>                                   FDS latency budget\n"
       << "  --iter-budget <n>                               sdc-iter refinement budget\n"
       << "                                                  (0 = base run only; default 8)\n"
       << "  --alus/--muls/--mems <n>                        resources (2/2/1)\n"
-      << "  --arena <on|off|BYTES>                          per-run arena allocator (on);\n"
-      << "                                                  off = heap baseline, BYTES = block size\n"
-      << "refinement (threaded only):\n"
+      << "  --arena <on|off>                                per-run arena allocator (on);\n"
+      << "                                                  off = heap baseline\n"
+      << "refinement of the live state (refinable backends: soft):\n"
       << "  --spill <op>                                    spill a value\n"
       << "  --wire <from>:<to>:<delay>                      insert wire delay\n"
       << "design-space exploration (needs --bench; 'random<N>' = random DFG):\n"
       << "  --explore                                       sweep a resource grid\n"
       << "  --backend <name>[,<name>...]|all                per-backend frontiers\n"
-      << "  --jobs <n>                                      workers (0 = hardware)\n"
+      << "  --seed <n>                                      random DFG seed\n"
+      << "  --jobs <n>                                      workers (0 = hardware; <= 1024)\n"
       << "  --alus-range/--muls-range/--mems-range <lo:hi>  grid axes (1:4/1:3/1:1)\n"
       << "  --mul-lat-range <lo:hi>                         mul latency axis (2:2)\n"
       << "  --iter-budget-range <lo:hi>                     sdc-iter budget axis (off)\n"
@@ -149,43 +158,71 @@ struct options {
       << "  cache import --cache-dir <dir> --in <file|->    load a shipped cache\n"
       << "               [--disk-cache-mb <n>]              import budget (1024)\n"
       << "output:\n"
-      << "  --gantt  --stats  --registers  --dot <file|->\n";
+      << "  --gantt  --registers                            any backend\n"
+      << "  --stats  --dot <file|->                         live state (soft)\n";
   std::exit(error.empty() ? 0 : 2);
+}
+
+// The one integer parser of the command line: an optional '-' and digits,
+// nothing else, inside [lo, hi]; anything else is a usage error naming the
+// flag.
+template <class T = int>
+T int_flag(const std::string& flag, const std::string& value, long long lo, long long hi) {
+  long long parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc{} || stop != end || parsed < lo || parsed > hi)
+    throw usage_error(flag + " must be an integer in " + std::to_string(lo) + ".." +
+                      std::to_string(hi) + ", got '" + value + "'");
+  return static_cast<T>(parsed);
+}
+
+// "lo:hi" or a single "n"; keeps `fallback` when the flag was not given.
+se::axis_range axis_flag(const std::string& flag, const std::string& spec,
+                         se::axis_range fallback, long long lo, long long hi) {
+  if (spec.empty()) return fallback;
+  const auto bound = [&](const std::string& token) { return int_flag(flag, token, lo, hi); };
+  const auto colon = spec.find(':');
+  if (colon == std::string::npos) return {bound(spec), bound(spec)};
+  return {bound(spec.substr(0, colon)), bound(spec.substr(colon + 1))};
 }
 
 options parse_args(int argc, char** argv) {
   options opt;
   auto need = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage(argv[0], std::string("missing value for ") + argv[i]);
+    if (i + 1 >= argc) throw usage_error(std::string("missing value for ") + argv[i]);
     return argv[++i];
+  };
+  auto integer = [&](int& i, long long lo, long long hi) {
+    const std::string flag = argv[i];
+    return int_flag(flag, need(i), lo, hi);
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--bench") opt.bench = need(i);
     else if (arg == "--dfg") opt.dfg_file = need(i);
     else if (arg == "--beh") opt.beh_file = need(i);
-    else if (arg == "--scheduler") opt.scheduler = need(i);
     else if (arg == "--backend") opt.backend = need(i);
     else if (arg == "--compare") opt.compare = true;
-    else if (arg == "--meta") opt.meta = need(i);
-    else if (arg == "--seed") opt.seed = std::strtoull(need(i).c_str(), nullptr, 10);
-    else if (arg == "--latency") opt.latency = std::strtoll(need(i).c_str(), nullptr, 10);
-    else if (arg == "--iter-budget") {
-      const std::string value = need(i);
-      if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos)
-        usage(argv[0], "--iter-budget must be a non-negative integer, got '" + value + "'");
-      opt.iter_budget = std::strtoll(value.c_str(), nullptr, 10);
-      if (opt.iter_budget > ss::sdc_iter_max_budget)
-        usage(argv[0], "--iter-budget must be at most " +
-                           std::to_string(ss::sdc_iter_max_budget));
+    else if (arg == "--meta") {
+      opt.meta = need(i);
+      try {
+        opt.run_options.meta = sm::parse_meta_kind(opt.meta);
+      } catch (const softsched::precondition_error& e) {
+        throw usage_error("--meta: " + std::string(e.what()));
+      }
     }
-    else if (arg == "--alus") { opt.alus = std::atoi(need(i).c_str()); opt.alus_set = true; }
-    else if (arg == "--muls") { opt.muls = std::atoi(need(i).c_str()); opt.muls_set = true; }
-    else if (arg == "--mems") { opt.mems = std::atoi(need(i).c_str()); opt.mems_set = true; }
-    else if (arg == "--spill") opt.spills.push_back(need(i));
-    else if (arg == "--wire") opt.wires.push_back(need(i));
+    else if (arg == "--seed") opt.seed = int_flag<std::uint64_t>(arg, need(i), 0, max_seed);
+    else if (arg == "--latency") opt.run_options.fds_latency = integer(i, 1, max_latency);
+    else if (arg == "--iter-budget")
+      opt.run_options.iter_budget = integer(i, 0, ss::sdc_iter_max_budget);
+    else if (arg == "--alus") { opt.alus = integer(i, 0, max_units); opt.alus_set = true; }
+    else if (arg == "--muls") { opt.muls = integer(i, 0, max_units); opt.muls_set = true; }
+    else if (arg == "--mems") { opt.mems = integer(i, 0, max_units); opt.mems_set = true; }
+    else if (arg == "--spill") { opt.spills.push_back(need(i)); opt.live_flag = arg; }
+    else if (arg == "--wire") { opt.wires.push_back(need(i)); opt.live_flag = arg; }
     else if (arg == "--explore") opt.explore = true;
-    else if (arg == "--jobs") { opt.jobs = std::atoi(need(i).c_str()); opt.serve_flags.jobs = opt.jobs; }
+    else if (arg == "--jobs") opt.serve_flags.jobs = integer(i, 0, max_jobs);
     else if (arg == "--alus-range") opt.alus_range = need(i);
     else if (arg == "--muls-range") opt.muls_range = need(i);
     else if (arg == "--mems-range") opt.mems_range = need(i);
@@ -203,39 +240,47 @@ options parse_args(int argc, char** argv) {
       }
     }
     else if (arg == "--listen") opt.serve_flags.listen = need(i);
-    else if (arg == "--max-conns") opt.serve_flags.max_conns = std::atoi(need(i).c_str());
-    else if (arg == "--serve-queue") opt.serve_flags.serve_queue = std::atoi(need(i).c_str());
+    else if (arg == "--max-conns") opt.serve_flags.max_conns = integer(i, 1, INT_MAX);
+    else if (arg == "--serve-queue") opt.serve_flags.serve_queue = integer(i, 1, INT_MAX);
     else if (arg == "--serve-ordered") opt.serve_flags.serve_ordered = true;
     else if (arg == "--out") opt.out_file = need(i);
-    else if (arg == "--cache-mb") opt.serve_flags.cache_mb = std::atoi(need(i).c_str());
+    else if (arg == "--cache-mb") opt.serve_flags.cache_mb = integer(i, 0, INT_MAX);
     else if (arg == "--cache-dir") opt.serve_flags.cache_dir = need(i);
-    else if (arg == "--disk-cache-mb") opt.serve_flags.disk_cache_mb = std::atoi(need(i).c_str());
+    else if (arg == "--disk-cache-mb") opt.serve_flags.disk_cache_mb = integer(i, 0, INT_MAX);
     else if (arg == "--serve-compact") opt.serve_flags.serve_compact = true;
-    else if (arg == "--arena") opt.serve_flags.arena = need(i);
+    else if (arg == "--arena") {
+      opt.serve_flags.arena = need(i);
+      try {
+        opt.arena = sv::parse_arena_flag(opt.serve_flags.arena) ? ss::arena_mode::on
+                                                                : ss::arena_mode::off;
+      } catch (const softsched::precondition_error& e) {
+        throw usage_error(e.what());
+      }
+    }
     else if (arg == "--gantt") opt.gantt = true;
-    else if (arg == "--stats") opt.stats = true;
+    else if (arg == "--stats") { opt.stats = true; opt.live_flag = arg; }
     else if (arg == "--registers") opt.registers = true;
-    else if (arg == "--dot") opt.dot_file = need(i);
+    else if (arg == "--dot") { opt.dot_file = need(i); opt.live_flag = arg; }
     else if (arg == "--help" || arg == "-h") usage(argv[0]);
-    else usage(argv[0], "unknown option " + arg);
+    else throw usage_error("unknown option " + arg);
   }
   const int inputs = static_cast<int>(!opt.bench.empty()) +
                      static_cast<int>(!opt.dfg_file.empty()) +
                      static_cast<int>(!opt.beh_file.empty());
   if (!opt.serve_batch.empty() || opt.serve_mode) {
     if (!opt.serve_batch.empty() && opt.serve_mode)
-      usage(argv[0], "--serve (resident daemon) and --serve-batch (one-shot "
-                     "batch) are mutually exclusive");
+      throw usage_error("--serve (resident daemon) and --serve-batch (one-shot "
+                        "batch) are mutually exclusive");
     if (inputs != 0)
-      usage(argv[0], "--serve/--serve-batch read designs from their requests, "
-                     "not from --bench/--dfg/--beh");
+      throw usage_error("--serve/--serve-batch read designs from their requests, "
+                        "not from --bench/--dfg/--beh");
     if (opt.serve_flags.listen != "stdio" && opt.serve != "-")
-      usage(argv[0], "--listen tcp:/unix: serves socket clients; it cannot "
-                     "also read a --serve request file");
+      throw usage_error("--listen tcp:/unix: serves socket clients; it cannot "
+                        "also read a --serve request file");
   } else if (opt.serve_flags.listen != "stdio") {
-    usage(argv[0], "--listen requires --serve");
+    throw usage_error("--listen requires --serve");
   } else if (inputs != 1) {
-    usage(argv[0], "exactly one of --bench/--dfg/--beh is required");
+    throw usage_error("exactly one of --bench/--dfg/--beh is required");
   }
   return opt;
 }
@@ -254,19 +299,9 @@ si::dfg load_design(const options& opt, const si::resource_library& lib) {
   return sl::compile_behavior(text.str(), opt.beh_file, lib);
 }
 
-sm::meta_kind parse_meta(const std::string& name) {
-  if (name == "dfs") return sm::meta_kind::depth_first;
-  if (name == "topo") return sm::meta_kind::topological;
-  if (name == "path") return sm::meta_kind::path_based;
-  if (name == "list") return sm::meta_kind::list_priority;
-  if (name == "random") return sm::meta_kind::random;
-  throw softsched::precondition_error("unknown meta schedule '" + name + "'");
-}
-
 // "all", one registry name, or a comma list; every name is resolved before
 // anything runs so a typo fails fast.
 std::vector<std::string> parse_backend_list(const std::string& spec) {
-  if (spec.empty()) return {"soft"};
   if (spec == "all") return ss::backend_names();
   std::vector<std::string> names;
   std::size_t pos = 0;
@@ -282,70 +317,13 @@ std::vector<std::string> parse_backend_list(const std::string& spec) {
   return names;
 }
 
-// The one validated scheduling surface, mirroring serve/options.h: backend
-// selection (with the legacy --scheduler alias folded in), meta order, FDS
-// budget and the --arena knob all derive from the raw flags exactly once,
-// and every mode - single run, --compare, --explore - consumes this struct
-// instead of re-deriving from strings.
-struct scheduling_config {
-  std::vector<std::string> backends; ///< resolved registry names, never empty
-  sm::meta_kind meta = sm::meta_kind::list_priority; ///< never `random`
-  bool random_meta = false; ///< --meta random (interactive soft path only)
-  std::uint64_t seed = 1;
-  long long fds_latency = -1;
-  long long iter_budget = -1; ///< sdc-iter budget; -1 = backend default
-  sv::arena_flag arena; ///< --arena, parsed by the serve-shared grammar
-
-  [[nodiscard]] const std::string& primary_backend() const { return backends.front(); }
-  [[nodiscard]] ss::arena_mode arena_mode() const {
-    return arena.enabled ? ss::arena_mode::on : ss::arena_mode::off;
-  }
-  [[nodiscard]] std::size_t arena_block_bytes() const {
-    return arena.block_bytes > 0 ? arena.block_bytes
-                                 : softsched::util::arena::default_block_bytes;
-  }
-  /// The per-run options a registry backend consumes. Backends that ignore
-  /// the feed order keep ignoring --meta (the legacy `--scheduler list
-  /// --meta random` spelling stays valid); backends that consume it reject
-  /// `random` - registry runs need a deterministic order.
-  [[nodiscard]] ss::backend_options options_for(const ss::scheduler_backend& b) const {
-    ss::backend_options bopt;
-    if (b.caps().uses_meta) {
-      SOFTSCHED_EXPECT(!random_meta,
-                       "--backend/--compare runs need a deterministic --meta");
-      bopt.meta = meta;
-    }
-    bopt.fds_latency = fds_latency;
-    if (b.caps().iterative) bopt.iter_budget = iter_budget;
-    return bopt;
-  }
-};
-
-scheduling_config scheduling_from_options(const options& opt) {
-  scheduling_config cfg;
-  // --backend wins when both are given; the legacy --scheduler spelling
-  // maps threaded -> soft and otherwise passes through to the registry.
-  const std::string spec = !opt.backend.empty()
-                               ? opt.backend
-                               : (opt.scheduler == "threaded" ? "soft" : opt.scheduler);
-  cfg.backends = parse_backend_list(spec == "all" ? "all" : spec);
-  const sm::meta_kind kind = parse_meta(opt.meta);
-  cfg.random_meta = kind == sm::meta_kind::random;
-  if (!cfg.random_meta) cfg.meta = kind;
-  cfg.seed = opt.seed;
-  cfg.fds_latency = opt.latency;
-  cfg.iter_budget = opt.iter_budget;
-  cfg.arena = sv::parse_arena_flag(opt.serve_flags.arena);
-  return cfg;
-}
-
 // --compare / --backend all: run every registered backend on the design and
 // print the soft-vs-list-vs-fds table (the paper's Figure 1/3 comparison,
 // on any design and allocation). Every schedule is validated against the
 // shared precedence + resource checker, and every backend is run twice so
 // nondeterminism shows up here rather than in a cache. Returns nonzero if
 // any feasible schedule fails validation.
-int run_compare(const scheduling_config& cfg, const si::resource_library& lib,
+int run_compare(const options& opt, const si::resource_library& lib,
                 const si::dfg& design, const si::resource_set& resources) {
   std::cout << "backend comparison: " << design.name() << ", " << design.op_count()
             << " ops, resources " << resources.label() << "\n";
@@ -357,9 +335,9 @@ int run_compare(const scheduling_config& cfg, const si::resource_library& lib,
   // One context for the whole table: the repeat run below recycles the
   // first run's arena blocks, so comparison mode also witnesses that reuse
   // does not change an outcome.
-  ss::run_context ctx(cfg.arena_mode(), cfg.arena_block_bytes());
+  ss::run_context ctx(opt.arena);
+  const ss::run_request request{design, lib, resources, opt.run_options};
   for (const ss::scheduler_backend* backend : ss::registered_backends()) {
-    const ss::run_request request{design, lib, resources, cfg.options_for(*backend)};
     const ss::backend_outcome outcome = backend->run(request, ctx);
     const ss::backend_outcome repeat = backend->run(request, ctx);
     SOFTSCHED_EXPECT(outcome.same_outcome(repeat),
@@ -392,41 +370,12 @@ int run_compare(const scheduling_config& cfg, const si::resource_library& lib,
   return all_legal ? 0 : 1;
 }
 
-// Strict non-negative integer parse: the whole token must be digits and in
-// range, so a typo like "x:4" or an overflowing "99999999999" is rejected
-// rather than silently becoming a wrong bound.
-int parse_axis_bound(const std::string& token, const std::string& flag_spec) {
-  SOFTSCHED_EXPECT(!token.empty() &&
-                       token.find_first_not_of("0123456789") == std::string::npos,
-                   "malformed axis '" + flag_spec + "' (expected <n> or <lo>:<hi>)");
-  const long long value = std::strtoll(token.c_str(), nullptr, 10);
-  SOFTSCHED_EXPECT(value <= 1'000'000,
-                   "axis bound out of range in '" + flag_spec + "'");
-  return static_cast<int>(value);
-}
-
-// "lo:hi" or a single "n"; keeps `fallback` when the flag was not given.
-se::axis_range parse_axis(const std::string& spec, se::axis_range fallback) {
-  if (spec.empty()) return fallback;
-  const auto colon = spec.find(':');
-  se::axis_range axis;
-  if (colon == std::string::npos) {
-    axis.lo = axis.hi = parse_axis_bound(spec, spec);
-  } else {
-    axis.lo = parse_axis_bound(spec.substr(0, colon), spec);
-    axis.hi = parse_axis_bound(spec.substr(colon + 1), spec);
-  }
-  return axis;
-}
-
-int run_explore(const options& opt, const scheduling_config& cfg) {
+int run_explore(const options& opt) {
   SOFTSCHED_EXPECT(!opt.bench.empty(),
                    "--explore needs --bench (a named benchmark or random<N>)");
   se::grid_spec spec;
   if (opt.bench.rfind("random", 0) == 0) {
-    spec.design.random_vertices = std::atoi(opt.bench.c_str() + 6);
-    SOFTSCHED_EXPECT(spec.design.random_vertices >= 1,
-                     "random design needs a size, e.g. --bench random600");
+    spec.design.random_vertices = int_flag("--bench random<N>", opt.bench.substr(6), 1, 200'000);
     spec.design.seed = opt.seed;
   } else {
     spec.design.bench = opt.bench;
@@ -437,23 +386,20 @@ int run_explore(const options& opt, const scheduling_config& cfg) {
   if (opt.alus_set) spec.alus = {opt.alus, opt.alus};
   if (opt.muls_set) spec.muls = {opt.muls, opt.muls};
   if (opt.mems_set) spec.mems = {opt.mems, opt.mems};
-  spec.alus = parse_axis(opt.alus_range, spec.alus);
-  spec.muls = parse_axis(opt.muls_range, spec.muls);
-  spec.mems = parse_axis(opt.mems_range, spec.mems);
-  spec.mul_latency = parse_axis(opt.mul_lat_range, spec.mul_latency);
-  spec.iter_budget = parse_axis(opt.iter_budget_range, spec.iter_budget);
-  SOFTSCHED_EXPECT(spec.iter_budget.hi <= ss::sdc_iter_max_budget,
-                   "--iter-budget-range must stay at or under " +
-                       std::to_string(ss::sdc_iter_max_budget));
+  spec.alus = axis_flag("--alus-range", opt.alus_range, spec.alus, 0, max_units);
+  spec.muls = axis_flag("--muls-range", opt.muls_range, spec.muls, 0, max_units);
+  spec.mems = axis_flag("--mems-range", opt.mems_range, spec.mems, 0, max_units);
+  spec.mul_latency =
+      axis_flag("--mul-lat-range", opt.mul_lat_range, spec.mul_latency, 1, 64);
+  spec.iter_budget = axis_flag("--iter-budget-range", opt.iter_budget_range,
+                               spec.iter_budget, 0, ss::sdc_iter_max_budget);
 
   se::exploration_options eopt;
-  eopt.jobs = opt.jobs;
-  SOFTSCHED_EXPECT(!cfg.random_meta, "--explore needs a deterministic --meta");
-  eopt.meta = cfg.meta;
-  eopt.backends = cfg.backends;
-  eopt.iter_budget = cfg.iter_budget;
-  eopt.arena = cfg.arena.enabled;
-  eopt.arena_block_bytes = cfg.arena.block_bytes;
+  eopt.jobs = opt.serve_flags.jobs;
+  eopt.meta = opt.run_options.meta;
+  eopt.backends = parse_backend_list(opt.backend);
+  eopt.iter_budget = opt.run_options.iter_budget;
+  eopt.arena = opt.arena == ss::arena_mode::on;
 
   const se::exploration_result result = se::run_exploration(spec, eopt);
   std::cout << "design-space exploration: " << spec.design.name() << ", "
@@ -502,6 +448,16 @@ void report_disk_tier(const sv::service_stats& s) {
             << (s.disk_degraded ? "; DEGRADED (RAM-only)" : "") << "\n";
 }
 
+// A "<file|->" argument: "-" or empty selects `standard` (stdin/stdout),
+// anything else opens `file`, which the caller owns.
+template <class File, class Standard>
+Standard& file_or_std(const std::string& spec, File& file, Standard& standard) {
+  if (spec.empty() || spec == "-") return standard;
+  file.open(spec, std::ios::binary);
+  if (!file) throw softsched::precondition_error("cannot open " + spec);
+  return file;
+}
+
 // Batch scheduling service: JSONL requests -> JSONL responses, one ordered
 // session of the service; cache and dedup summary on stderr (stdout stays
 // machine-readable).
@@ -509,31 +465,20 @@ int run_serve(const options& opt) {
   // One validation path for every serving flag (serve/options.h); the
   // error messages tests pin live there, not here.
   const sv::daemon_options dopt = sv::daemon_options_from_flags(opt.serve_flags);
-
   std::ifstream in_file;
-  std::istream* in = &std::cin;
-  if (opt.serve_batch != "-") {
-    in_file.open(opt.serve_batch);
-    if (!in_file) throw softsched::precondition_error("cannot open " + opt.serve_batch);
-    in = &in_file;
-  }
+  std::istream& in = file_or_std(opt.serve_batch, in_file, std::cin);
   std::ofstream out_file;
-  std::ostream* out = &std::cout;
-  if (!opt.out_file.empty() && opt.out_file != "-") {
-    out_file.open(opt.out_file);
-    if (!out_file) throw softsched::precondition_error("cannot open " + opt.out_file);
-    out = &out_file;
-  }
+  std::ostream& out = file_or_std(opt.out_file, out_file, std::cout);
 
   sv::service svc(dopt.service);
   const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t requests = sv::serve_batch(*in, *out, svc);
+  const std::uint64_t requests = sv::serve_batch(in, out, svc);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   // Flush before checking: a write failure (disk full) surfacing only at
   // close must not exit 0 with a truncated response file.
-  out->flush();
-  if (!*out) throw softsched::precondition_error("failed to write responses");
+  out.flush();
+  if (!out) throw softsched::precondition_error("failed to write responses");
 
   svc.drain();            // settle the counters behind the last callback
   (void)svc.flush_disk(); // report settled disk counters, not a mid-flush snapshot
@@ -585,7 +530,6 @@ int run_socket_daemon(const sv::daemon_options& dopt, const sv::listen_spec& spe
   sv::socket_server_options sopt;
   sopt.max_connections = dopt.max_connections;
   sopt.connection.ordered = dopt.ordered;
-  sopt.connection.limits = dopt.limits;
   sv::socket_server server(*accept_from, svc, sopt);
   const sv::socket_server_summary summary = server.run();
 
@@ -605,25 +549,14 @@ int run_daemon_mode(const options& opt) {
   const sv::daemon_options dopt = sv::daemon_options_from_flags(opt.serve_flags);
   const sv::listen_spec spec = sv::listen_from_flags(opt.serve_flags);
   if (spec.kind != sv::listen_spec::transport::stdio) return run_socket_daemon(dopt, spec);
-
   std::ifstream in_file;
-  std::istream* in = &std::cin;
-  if (opt.serve != "-") {
-    in_file.open(opt.serve);
-    if (!in_file) throw softsched::precondition_error("cannot open " + opt.serve);
-    in = &in_file;
-  }
+  std::istream& in = file_or_std(opt.serve, in_file, std::cin);
   std::ofstream out_file;
-  std::ostream* out = &std::cout;
-  if (!opt.out_file.empty() && opt.out_file != "-") {
-    out_file.open(opt.out_file);
-    if (!out_file) throw softsched::precondition_error("cannot open " + opt.out_file);
-    out = &out_file;
-  }
+  std::ostream& out = file_or_std(opt.out_file, out_file, std::cout);
 
-  const sv::daemon_summary summary = sv::run_daemon(*in, *out, dopt);
-  out->flush();
-  if (!*out) throw softsched::precondition_error("failed to write responses");
+  const sv::daemon_summary summary = sv::run_daemon(in, out, dopt);
+  out.flush();
+  if (!out) throw softsched::precondition_error("failed to write responses");
 
   report_daemon(summary.requests, summary.stats, dopt.service.queue_capacity,
                 summary.shutdown_requested, summary.transport_error, summary.conns);
@@ -636,23 +569,22 @@ int run_daemon_mode(const options& opt) {
 int run_cache_tool(int argc, char** argv) {
   const std::string verb = argc >= 3 ? argv[2] : "";
   if (verb != "export" && verb != "import")
-    usage(argv[0], "cache subcommand needs a verb: cache export | cache import");
+    throw usage_error("cache subcommand needs a verb: cache export | cache import");
   std::string dir, out_spec, in_spec;
   int budget_mb = 1024;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     auto need = [&]() -> std::string {
-      if (i + 1 >= argc) usage(argv[0], "missing value for " + arg);
+      if (i + 1 >= argc) throw usage_error("missing value for " + arg);
       return argv[++i];
     };
     if (arg == "--cache-dir") dir = need();
     else if (arg == "--out") out_spec = need();
     else if (arg == "--in") in_spec = need();
-    else if (arg == "--disk-cache-mb") budget_mb = std::atoi(need().c_str());
-    else usage(argv[0], "unknown cache option " + arg);
+    else if (arg == "--disk-cache-mb") budget_mb = int_flag(arg, need(), 1, INT_MAX);
+    else throw usage_error("unknown cache option " + arg);
   }
   SOFTSCHED_EXPECT(!dir.empty(), "cache " + verb + " needs --cache-dir");
-  SOFTSCHED_EXPECT(budget_mb >= 1, "--disk-cache-mb must be >= 1");
 
   if (verb == "export") {
     sv::disk_cache_options copt;
@@ -662,15 +594,10 @@ int run_cache_tool(int argc, char** argv) {
     copt.byte_budget = static_cast<std::size_t>(-1) / 2;
     sv::disk_cache cache(copt);
     std::ofstream out_file;
-    std::ostream* out = &std::cout;
-    if (!out_spec.empty() && out_spec != "-") {
-      out_file.open(out_spec, std::ios::binary);
-      if (!out_file) throw softsched::precondition_error("cannot open " + out_spec);
-      out = &out_file;
-    }
-    const std::optional<std::uint64_t> count = cache.export_to(*out);
-    out->flush();
-    if (!count.has_value() || !*out)
+    std::ostream& out = file_or_std(out_spec, out_file, std::cout);
+    const std::optional<std::uint64_t> count = cache.export_to(out);
+    out.flush();
+    if (!count.has_value() || !out)
       throw softsched::precondition_error("cache export: write failed");
     const sv::disk_cache_counters d = cache.counters();
     std::cerr << "cache export: " << *count << " records (" << d.corrupt_dropped
@@ -680,17 +607,12 @@ int run_cache_tool(int argc, char** argv) {
 
   SOFTSCHED_EXPECT(!in_spec.empty(), "cache import needs --in <file|->");
   std::ifstream in_file;
-  std::istream* in = &std::cin;
-  if (in_spec != "-") {
-    in_file.open(in_spec, std::ios::binary);
-    if (!in_file) throw softsched::precondition_error("cannot open " + in_spec);
-    in = &in_file;
-  }
+  std::istream& in = file_or_std(in_spec, in_file, std::cin);
   sv::disk_cache_options copt;
   copt.directory = dir;
   copt.byte_budget = static_cast<std::size_t>(budget_mb) << 20;
   sv::disk_cache cache(copt);
-  const sv::disk_import_summary s = cache.import_from(*in);
+  const sv::disk_import_summary s = cache.import_from(in);
   const sv::disk_cache_counters d = cache.counters();
   std::cerr << "cache import: " << s.imported << " records imported ("
             << s.corrupt_skipped << " corrupt skipped"
@@ -703,8 +625,19 @@ int run_cache_tool(int argc, char** argv) {
 int run(const options& opt) {
   if (opt.serve_mode) return run_daemon_mode(opt);
   if (!opt.serve_batch.empty()) return run_serve(opt);
-  const scheduling_config cfg = scheduling_from_options(opt);
-  if (opt.explore) return run_explore(opt, cfg);
+  if (opt.explore) return run_explore(opt);
+  const std::vector<std::string> backends = parse_backend_list(opt.backend);
+  const bool compare = opt.compare || opt.backend == "all";
+  const ss::scheduler_backend& backend = ss::get_backend(backends.front());
+  if (!compare) {
+    if (backends.size() != 1)
+      throw usage_error("pick one --backend (or --compare for the table)");
+    // These act on the live state a refinable backend leaves in
+    // run_context::state; a hard schedule has none to refine or print.
+    if (!opt.live_flag.empty() && !backend.caps().refinable)
+      throw usage_error(opt.live_flag + " needs a refinable backend; '" +
+                        std::string(backend.name()) + "' keeps no live state");
+  }
   const si::resource_library lib;
   si::dfg design = load_design(opt, lib);
   const si::resource_set resources{opt.alus, opt.muls, opt.mems};
@@ -713,40 +646,28 @@ int run(const options& opt) {
             << sg::compute_distances(design.graph()).diameter << ", resources "
             << resources.label() << "\n";
 
-  if (opt.compare || opt.backend == "all") {
+  if (compare) {
     // Comparison mode produces the table and nothing else; flags whose
     // output a pipeline might wait for must not be dropped silently.
-    if (opt.gantt || opt.stats || opt.registers || !opt.dot_file.empty() ||
-        !opt.spills.empty() || !opt.wires.empty())
+    if (opt.gantt || opt.registers || !opt.live_flag.empty())
       std::cerr << "note: --gantt/--stats/--registers/--dot/--spill/--wire are "
                    "ignored in comparison mode (pick one --backend to use them)\n";
-    return run_compare(cfg, lib, design, resources);
+    return run_compare(opt, lib, design, resources);
   }
 
+  ss::run_context ctx(opt.arena);
+  const ss::backend_outcome outcome =
+      backend.run({design, lib, resources, opt.run_options}, ctx);
+  if (!outcome.feasible) {
+    std::cerr << "infeasible: " << outcome.infeasible_reason << '\n';
+    return 1;
+  }
   sh::schedule result;
-  // The interactive soft path keeps the live state (and therefore its
-  // arena) alive for refinements / --stats / --dot, so the arena is
-  // declared first: members of `state` deallocate into it on destruction.
-  std::unique_ptr<softsched::util::arena> arena;
-  std::vector<int> tags_scratch;
-  std::optional<sc::threaded_graph> state;
-  const std::string backend_name = cfg.primary_backend();
-  SOFTSCHED_EXPECT(cfg.backends.size() == 1,
-                   "pick one --backend (or --compare for the table)");
-
-  if (backend_name == "soft") {
-    if (cfg.arena.enabled)
-      arena = std::make_unique<softsched::util::arena>(cfg.arena_block_bytes());
-    state.emplace(sc::make_hls_state(design, resources, arena.get(), tags_scratch));
-    if (cfg.random_meta) {
-      softsched::rng rand(cfg.seed);
-      state->schedule_all(sm::random_meta_schedule(design.graph(), rand));
-    } else {
-      state->schedule_all(sm::meta_schedule(design.graph(), cfg.meta));
-    }
-    // Refinements against the live state.
+  if (backend.caps().refinable) {
+    // Refine the live state the run left behind; print the refined schedule.
+    sc::threaded_graph& state = *ctx.state;
     for (const std::string& name : opt.spills) {
-      const auto report = sf::apply_spill(design, *state, si::find_op(design, name));
+      const auto report = sf::apply_spill(design, state, si::find_op(design, name));
       std::cout << "spill " << name << ": +" << report.ops_inserted << " ops, "
                 << report.diameter_before << " -> " << report.diameter_after
                 << " states\n";
@@ -757,35 +678,23 @@ int run(const options& opt) {
       if (c1 == std::string::npos || c2 == std::string::npos)
         throw softsched::precondition_error("--wire expects from:to:delay");
       const auto report = sf::apply_wire_delay(
-          design, *state, si::find_op(design, spec.substr(0, c1)),
+          design, state, si::find_op(design, spec.substr(0, c1)),
           si::find_op(design, spec.substr(c1 + 1, c2 - c1 - 1)),
-          std::atoi(spec.c_str() + c2 + 1));
+          int_flag("--wire delay", spec.substr(c2 + 1), 1, max_latency));
       std::cout << "wire " << spec << ": " << report.diameter_before << " -> "
                 << report.diameter_after << " states\n";
     }
-    result = sh::extract_schedule(*state);
-    std::cout << "soft schedule (" << opt.meta << " meta): " << result.makespan
-              << " states\n";
+    result = sh::extract_schedule(state);
+    std::cout << backend.name() << " schedule (" << opt.meta << " meta): "
+              << result.makespan << " states\n";
   } else {
-    // Hard backends (list, fds, anything registered later) run through the
-    // registry; the soft path above stays special because it keeps the live
-    // threaded state around for refinements / --stats / --dot.
-    const ss::scheduler_backend& backend = ss::get_backend(backend_name);
-    ss::run_context ctx(cfg.arena_mode(), cfg.arena_block_bytes());
-    const ss::backend_outcome outcome =
-        backend.run({design, lib, resources, cfg.options_for(backend)}, ctx);
-    if (!outcome.feasible) {
-      std::cerr << "infeasible: " << outcome.infeasible_reason << '\n';
-      return 1;
-    }
     result = ss::to_hard_schedule(outcome);
-    std::cout << backend_name << " schedule: " << result.makespan << " states\n";
+    std::cout << backend.name() << " schedule: " << result.makespan << " states\n";
   }
 
   // Every backend's output goes through the shared checker; the registry's
   // fds backend searches for a budget whose schedule fits the allocation,
-  // so unlike the pre-registry --scheduler fds path the resource check
-  // applies to it too.
+  // so the resource check applies to it too.
   const auto violations = sh::validate_schedule(design, result, &resources);
   if (!violations.empty()) {
     std::cerr << "INVALID schedule: " << violations.front() << '\n';
@@ -802,20 +711,20 @@ int run(const options& opt) {
     std::cout << "registers: demand " << softsched::regalloc::max_live(lifetimes)
               << ", left-edge binding uses " << binding.register_count << "\n";
   }
-  if (opt.stats && state.has_value()) {
-    const sc::schedule_stats& stats = state->stats();
+  if (opt.stats) {
+    const sc::schedule_stats& stats = ctx.state->stats();
     std::cout << "scheduler stats: " << stats.select_calls << " selects, "
               << stats.positions_scanned << " positions costed, "
               << stats.positions_rejected << " rejected, " << stats.label_passes
               << " label passes, " << stats.cross_edge_updates
               << " cross-edge updates\n";
   }
-  if (!opt.dot_file.empty() && state.has_value()) {
+  if (!opt.dot_file.empty()) {
     if (opt.dot_file == "-") {
-      sc::write_state_dot(std::cout, *state, design.name());
+      sc::write_state_dot(std::cout, *ctx.state, design.name());
     } else {
       std::ofstream out(opt.dot_file);
-      sc::write_state_dot(out, *state, design.name());
+      sc::write_state_dot(out, *ctx.state, design.name());
       std::cout << "wrote " << opt.dot_file << "\n";
     }
   }
@@ -828,6 +737,8 @@ int main(int argc, char** argv) {
   try {
     if (argc >= 2 && std::string(argv[1]) == "cache") return run_cache_tool(argc, argv);
     return run(parse_args(argc, argv));
+  } catch (const usage_error& e) {
+    usage(argv[0], e.what());
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
