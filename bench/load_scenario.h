@@ -262,7 +262,7 @@ inline checks write_load_scenario(json_writer& j, std::uint64_t seed,
   j.member("error_responses", error_responses.load());
   j.member("injected", !sopt.faults.empty());
   j.member("disk_enabled", stats.disk_enabled);
-  j.member("disk_degraded", stats.disk_degraded);
+  j.member("disk_degraded", stats.disk.degraded);
   j.key("retry");
   j.begin_object();
   j.member("enabled", lopt.retry);

@@ -144,11 +144,10 @@ exploration_result run_exploration(const grid_spec& spec,
     // submitting thread the extra slot (parallel_for_index runs inline for
     // a 1-worker pool), and a context never changes a point's values.
     thread_pool pool(out.jobs);
-    const auto mode = options.arena ? sched::arena_mode::on : sched::arena_mode::off;
     std::vector<std::unique_ptr<sched::run_context>> contexts;
     contexts.reserve(out.jobs + 1);
     for (unsigned c = 0; c <= out.jobs; ++c)
-      contexts.push_back(std::make_unique<sched::run_context>(mode));
+      contexts.push_back(std::make_unique<sched::run_context>());
     parallel_for_index(&pool, total, [&](std::size_t i) {
       const std::size_t b = i / points.size();
       const int worker = thread_pool::current_worker_index();

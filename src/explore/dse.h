@@ -75,9 +75,6 @@ struct exploration_options {
   /// iter_budget axis is off; -1 = backend default. A point on the axis
   /// overrides this per point.
   long long iter_budget = -1;
-  /// Per-worker run_context arenas (off = the heap baseline); never changes
-  /// a point's values - the jobs-1-vs-jobs-N property holds either way.
-  bool arena = true;
 };
 
 /// Schedules one grid point in isolation with the soft scheduler (also the

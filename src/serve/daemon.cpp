@@ -164,10 +164,9 @@ service::service(const service_options& options)
     disk_ = std::make_unique<disk_cache>(disk);
   }
   pool_ = std::make_unique<thread_pool>(jobs_);
-  const auto mode = options_.arena ? sched::arena_mode::on : sched::arena_mode::off;
   contexts_.reserve(jobs_ + 1);
   for (unsigned i = 0; i <= jobs_; ++i)
-    contexts_.push_back(std::make_unique<sched::run_context>(mode));
+    contexts_.push_back(std::make_unique<sched::run_context>());
 }
 
 sched::run_context& service::context_for_current_thread() noexcept {
@@ -449,21 +448,8 @@ service_stats service::stats() const {
                    ? static_cast<double>(s.cache_hits + s.deduped) / static_cast<double>(served)
                    : 0;
   if (disk_ != nullptr) {
-    const disk_cache_counters d = disk_->counters();
     s.disk_enabled = true;
-    s.disk_degraded = d.degraded;
-    s.disk_hits = d.hits;
-    s.disk_misses = d.misses;
-    s.disk_writes = d.writes;
-    s.disk_evictions = d.evictions;
-    s.disk_corrupt_dropped = d.corrupt_dropped;
-    s.disk_io_errors = d.io_errors;
-    s.disk_queue_dropped = d.queue_dropped;
-    s.disk_flushed = d.flushed;
-    s.disk_entries = d.entries;
-    s.disk_bytes = d.bytes;
-    s.disk_recovery_scan_ms = d.recovery_scan_ms;
-    s.disk_recovered_entries = d.recovered_entries;
+    s.disk = disk_->counters();
   }
   return s;
 }
@@ -656,36 +642,6 @@ connection_summary serve_connection(byte_stream& stream, service& svc,
     counters->bytes_in.fetch_add(stream.bytes_in(), std::memory_order_relaxed);
     counters->bytes_out.fetch_add(stream.bytes_out(), std::memory_order_relaxed);
   }
-  return summary;
-}
-
-daemon_summary run_daemon(std::istream& in, std::ostream& out,
-                          const daemon_options& options) {
-  daemon_summary summary;
-  service svc(options.service);
-  iostream_byte_stream stream(&in, &out);
-  connection_counters counters;
-  counters.transport = "stdio";
-  counters.accepted.store(1, std::memory_order_relaxed);
-  counters.active.store(1, std::memory_order_relaxed);
-
-  connection_options copt;
-  copt.ordered = options.ordered;
-  const connection_summary conn = serve_connection(stream, svc, copt, &counters);
-  // The connection gate releases when the last response is written; the
-  // service-level drain additionally orders the counter updates behind it,
-  // so summary.stats below is a settled snapshot.
-  svc.drain();
-
-  counters.active.store(0, std::memory_order_relaxed);
-  counters.closed.store(1, std::memory_order_relaxed);
-  summary.frames = conn.frames;
-  summary.requests = conn.requests;
-  summary.responses = conn.responses;
-  summary.shutdown_requested = conn.end == connection_end::shutdown_op;
-  summary.transport_error = conn.end == connection_end::transport_error;
-  summary.stats = svc.stats();
-  summary.conns = snapshot(counters);
   return summary;
 }
 

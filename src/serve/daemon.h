@@ -18,14 +18,16 @@
 //     admitted request has responded. Live counters and a lock-light
 //     latency histogram (serve/metrics.h) feed stats().
 //
-//   * `serve_connection` / `run_daemon` - the framed front-end: reads
+//   * `serve_connection` - the framed front-end, one client session: reads
 //     `<count>\n<payload>\n` frames (serve/transport.h) from a stream,
 //     sniffs control ops ({"op":"stats"} / {"op":"shutdown"}), submits
 //     everything else to the service, and writes response frames either as
 //     they complete (streaming, the default) or in input order behind a
 //     reorder buffer (--serve-ordered). EOF, shutdown and transport errors
 //     all end in the same graceful drain: every admitted request gets its
-//     response before the daemon returns.
+//     response before the connection closes. socket_server
+//     (serve/socket.h) runs it once per accepted connection, whatever the
+//     listener: stdio (one connection), tcp or unix.
 //
 //   * `serve_batch` - the JSONL front-end behind --serve-batch: one line per
 //     request in, one line per response out, in input order, through the
@@ -134,11 +136,6 @@ struct service_options {
   // write-behind-queued for a background flusher.
   std::string cache_dir;
   std::size_t disk_cache_bytes = 0;
-
-  // Per-worker scheduling arenas (docs/DESIGN.md §8). Off = the heap
-  // baseline the nightly storm cross-validates against; the mode can never
-  // change a response byte, only allocation traffic and `ms`.
-  bool arena = true;
 };
 
 /// The scheduling service: bounded-queue admission, streaming completion
@@ -263,19 +260,6 @@ private:
       flights_;
 };
 
-/// Everything either front-end needs - the one parsed struct the CLI flag
-/// surface (--serve-queue, --serve-ordered, --listen, --max-conns, cache
-/// flags) collapses into. --serve-batch reads only `service`. Built and
-/// validated exclusively by serve/options.h, so CLI and tests share one
-/// error path.
-struct daemon_options {
-  service_options service;
-  bool ordered = false; ///< input-order responses instead of
-                        ///< streaming-as-completed
-  std::size_t max_connections = 64; ///< socket front-ends: accepted-but-open
-                                    ///< bound; beyond it connections shed
-};
-
 // ---------------------------------------------------------------------------
 // The shared connection loop: one framed client session over any transport.
 
@@ -286,10 +270,10 @@ enum class connection_end {
   transport_error ///< malformed frame: answered once, drained, closed
 };
 
-/// Knobs of one connection (a slice of daemon_options; response shape and
-/// the retry hint come from the service's own options).
+/// Knobs of one connection (response shape and the retry hint come from
+/// the service's own options).
 struct connection_options {
-  bool ordered = false;
+  bool ordered = false; ///< input-order responses instead of streaming-as-completed
 };
 
 /// Per-connection accounting.
@@ -313,26 +297,6 @@ struct connection_summary {
 connection_summary serve_connection(byte_stream& stream, service& svc,
                                     const connection_options& options,
                                     connection_counters* counters = nullptr);
-
-/// Per-run accounting of one daemon session.
-struct daemon_summary {
-  std::uint64_t frames = 0;        ///< well-formed frames read (incl. control)
-  std::uint64_t requests = 0;      ///< frames submitted to the service
-  std::uint64_t responses = 0;     ///< response frames written (incl. shed)
-  bool shutdown_requested = false; ///< ended by {"op":"shutdown"}
-  bool transport_error = false;    ///< ended by a malformed frame
-  service_stats stats;             ///< final service counters
-  connection_counters_snapshot conns; ///< transport-level totals
-};
-
-/// Runs the resident daemon over framed streams until EOF, a shutdown op,
-/// or a transport error - always draining admitted work before returning.
-/// A thin adapter: wraps the streams in an iostream_byte_stream and runs
-/// serve_connection over a fresh service. Socket transports run the same
-/// loop per accepted connection (serve/socket.h). Wire protocol:
-/// docs/SERVING.md §"Wire protocol".
-daemon_summary run_daemon(std::istream& in, std::ostream& out,
-                          const daemon_options& options = {});
 
 /// One --serve-batch session: submits every non-blank line of `in` to
 /// `svc` under its 1-based line number and writes one response line per

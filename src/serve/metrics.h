@@ -18,6 +18,8 @@
 #include <atomic>
 #include <cstdint>
 
+#include "serve/diskcache.h"
+
 namespace softsched::serve {
 
 /// Lock-light log-bucketed latency histogram (milliseconds).
@@ -75,22 +77,10 @@ struct service_stats {
   double p99_ms = 0;
   double hit_rate = 0; ///< (cache_hits + deduped) / completed-without-error
 
-  // Persistent-tier counters (serve/diskcache.h); all zero when the disk
-  // tier is off. disk_enabled distinguishes "off" from "on but idle".
+  // Persistent-tier counters; all zero when the disk tier is off.
+  // disk_enabled distinguishes "off" from "on but idle".
   bool disk_enabled = false;
-  bool disk_degraded = false;    ///< disk tier hit an I/O error; RAM-only now
-  std::uint64_t disk_hits = 0;   ///< RAM misses served from disk
-  std::uint64_t disk_misses = 0;
-  std::uint64_t disk_writes = 0; ///< records persisted
-  std::uint64_t disk_evictions = 0;
-  std::uint64_t disk_corrupt_dropped = 0; ///< invalid records quarantined
-  std::uint64_t disk_io_errors = 0;
-  std::uint64_t disk_queue_dropped = 0; ///< write-behinds shed (queue full)
-  std::uint64_t disk_flushed = 0;       ///< write-behinds drained to disk
-  std::size_t disk_entries = 0;
-  std::size_t disk_bytes = 0;
-  double disk_recovery_scan_ms = 0;       ///< open-time directory scan
-  std::uint64_t disk_recovered_entries = 0; ///< records indexed at open
+  disk_cache_counters disk;
 };
 
 } // namespace softsched::serve

@@ -9,6 +9,13 @@ namespace softsched::serve {
 
 control_frame classify_control(std::string_view payload) {
   control_frame frame;
+  // A key decodes to "op" only from the literal bytes "op" or through a
+  // \u escape (every other escape decodes to '"', '\\', '/' or a control
+  // character), so a request without either is never parsed here - the
+  // worker parses it once, in parse_request_line.
+  if (payload.find("\"op\"") == std::string_view::npos &&
+      payload.find("\\u") == std::string_view::npos)
+    return frame;
   try {
     const json_value v = parse_json(std::string(payload));
     const json_value* member = v.find("op");
@@ -112,20 +119,21 @@ std::string render_stats(const service_stats& s,
   j.end_object();
   j.key("disk");
   j.begin_object();
+  const disk_cache_counters& d = s.disk;
   j.member("enabled", s.disk_enabled);
-  j.member("degraded", s.disk_degraded);
-  j.member("hits", s.disk_hits);
-  j.member("misses", s.disk_misses);
-  j.member("writes", s.disk_writes);
-  j.member("evictions", s.disk_evictions);
-  j.member("corrupt_dropped", s.disk_corrupt_dropped);
-  j.member("io_errors", s.disk_io_errors);
-  j.member("queue_dropped", s.disk_queue_dropped);
-  j.member("flushed", s.disk_flushed);
-  j.member("entries", s.disk_entries);
-  j.member("bytes", s.disk_bytes);
-  j.member("recovery_scan_ms", s.disk_recovery_scan_ms);
-  j.member("recovered_entries", s.disk_recovered_entries);
+  j.member("degraded", d.degraded);
+  j.member("hits", d.hits);
+  j.member("misses", d.misses);
+  j.member("writes", d.writes);
+  j.member("evictions", d.evictions);
+  j.member("corrupt_dropped", d.corrupt_dropped);
+  j.member("io_errors", d.io_errors);
+  j.member("queue_dropped", d.queue_dropped);
+  j.member("flushed", d.flushed);
+  j.member("entries", d.entries);
+  j.member("bytes", d.bytes);
+  j.member("recovery_scan_ms", d.recovery_scan_ms);
+  j.member("recovered_entries", d.recovered_entries);
   j.end_object();
   j.end_object();
   return std::move(oss).str();

@@ -29,6 +29,12 @@ void close_fd(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
+/// A --listen grammar check. The message names the flag and carries no
+/// source location, because the CLI prints it as a usage error.
+void expect_listen(bool ok, const std::string& message) {
+  if (!ok) throw precondition_error("--listen: " + message);
+}
+
 std::uint16_t parse_port(std::string_view text, std::string_view spec) {
   bool ok = !text.empty() && text.size() <= 5;
   unsigned value = 0;
@@ -39,8 +45,7 @@ std::uint16_t parse_port(std::string_view text, std::string_view spec) {
     }
     value = value * 10 + static_cast<unsigned>(c - '0');
   }
-  SOFTSCHED_EXPECT(ok && value <= 65535,
-                   "--listen: bad tcp port in '" + std::string(spec) + "'");
+  expect_listen(ok && value <= 65535, "bad tcp port in '" + std::string(spec) + "'");
   return static_cast<std::uint16_t>(value);
 }
 
@@ -191,21 +196,21 @@ private:
   std::string path_;
 };
 
-in_addr resolve_host(const std::string& host, const listen_spec& spec) {
+in_addr resolve_host(const std::string& host, std::string_view spec) {
   in_addr addr{};
   const std::string name = host == "localhost" ? "127.0.0.1" : host;
-  SOFTSCHED_EXPECT(::inet_pton(AF_INET, name.c_str(), &addr) == 1,
-                   "--listen: bad tcp host '" + host + "' in '" + spec.label() +
-                       "' (dotted IPv4 or localhost)");
+  expect_listen(::inet_pton(AF_INET, name.c_str(), &addr) == 1,
+                "bad tcp host '" + host + "' in '" + std::string(spec) +
+                    "' (dotted IPv4 or localhost)");
   return addr;
 }
 
 sockaddr_un unix_address(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  SOFTSCHED_EXPECT(path.size() < sizeof addr.sun_path,
-                   "--listen: unix socket path longer than " +
-                       std::to_string(sizeof addr.sun_path - 1) + " bytes: '" + path + "'");
+  expect_listen(path.size() < sizeof addr.sun_path,
+                "unix socket path longer than " + std::to_string(sizeof addr.sun_path - 1) +
+                    " bytes: '" + path + "'");
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   return addr;
 }
@@ -219,21 +224,22 @@ listen_spec listen_spec::parse(std::string_view text) {
     spec.kind = transport::tcp;
     const std::string_view rest = text.substr(4);
     const std::size_t colon = rest.rfind(':');
-    SOFTSCHED_EXPECT(colon != std::string_view::npos && colon > 0,
-                     "--listen: expected tcp:HOST:PORT, got '" + std::string(text) + "'");
+    expect_listen(colon != std::string_view::npos && colon > 0,
+                  "expected tcp:HOST:PORT, got '" + std::string(text) + "'");
     spec.host = std::string(rest.substr(0, colon));
     spec.port = parse_port(rest.substr(colon + 1), text);
+    (void)resolve_host(spec.host, text);
     return spec;
   }
   if (text.substr(0, 5) == "unix:") {
     spec.kind = transport::unix_domain;
     spec.path = std::string(text.substr(5));
-    SOFTSCHED_EXPECT(!spec.path.empty(),
-                     "--listen: expected unix:PATH, got '" + std::string(text) + "'");
+    expect_listen(!spec.path.empty(), "expected unix:PATH, got '" + std::string(text) + "'");
+    (void)unix_address(spec.path);
     return spec;
   }
-  SOFTSCHED_EXPECT(false, "--listen: unknown transport '" + std::string(text) +
-                              "' (expected stdio, tcp:HOST:PORT or unix:PATH)");
+  expect_listen(false, "unknown transport '" + std::string(text) +
+                           "' (expected stdio, tcp:HOST:PORT or unix:PATH)");
   return spec; // unreachable
 }
 
@@ -250,7 +256,7 @@ std::string listen_spec::label() const {
 
 std::unique_ptr<listener> make_listener(const listen_spec& spec) {
   SOFTSCHED_EXPECT(spec.kind != listen_spec::transport::stdio,
-                   "make_listener: stdio has no listener (use run_daemon)");
+                   "make_listener: stdio is an iostream_listener over the caller's streams");
   if (spec.kind == listen_spec::transport::tcp) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     SOFTSCHED_EXPECT(fd >= 0, "--listen: socket() failed: " + std::string(std::strerror(errno)));
@@ -258,7 +264,7 @@ std::unique_ptr<listener> make_listener(const listen_spec& spec) {
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
-    addr.sin_addr = resolve_host(spec.host, spec);
+    addr.sin_addr = resolve_host(spec.host, spec.label());
     addr.sin_port = htons(spec.port);
     if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
         ::listen(fd, 128) != 0) {
@@ -293,7 +299,7 @@ std::unique_ptr<byte_stream> connect_stream(const listen_spec& spec) {
     if (fd < 0) return nullptr;
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
-    addr.sin_addr = resolve_host(spec.host, spec);
+    addr.sin_addr = resolve_host(spec.host, spec.label());
     addr.sin_port = htons(spec.port);
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
       close_fd(fd);

@@ -1,24 +1,26 @@
-// socket.h - TCP and Unix-domain transports for the resident daemon: the
-// socket implementations of serve/transport.h's byte_stream and listener,
-// plus the accept loop that runs serve_connection per client.
+// socket.h - the accept loop of the resident daemon (socket_server), which
+// serves every transport, and the TCP and Unix-domain socket
+// implementations of serve/transport.h's byte_stream and listener.
 //
 // Layering (docs/ARCHITECTURE.md "Serving"):
 //
-//   listener (tcp/unix) --accept()--> byte_stream     one per connection
+//   listener (stdio/tcp/unix) --accept()--> byte_stream  one per connection
 //        socket_server  --thread----> serve_connection(stream, service)
 //                                            |
 //                                            v
 //                                     serve::service   shared, untouched
 //
-// The server owns connection policy only: the --max-conns bound (beyond it
-// a connection is answered with one framed "too_many_connections" +
-// retry_after_ms and closed - connection-level shedding, the byte-level
-// sibling of the service's queue shedding), conn=<n> fault injection
-// (drop / stall the Nth accepted connection), and graceful teardown (a
-// shutdown op on any connection stops the listener, half-closes every
-// other connection's read side, and waits for each to drain). Everything
-// about framing, control ops, and per-connection drain lives in
-// serve_connection, shared verbatim with the stdio transport.
+// The server takes any listener: stdio is serve/transport.h's
+// iostream_listener (one connection over the --serve input and --out
+// streams), tcp/unix are made by make_listener below. It owns connection
+// policy only: the --max-conns bound (beyond it a connection is answered
+// with one framed "too_many_connections" + retry_after_ms and closed -
+// connection-level shedding, the byte-level sibling of the service's queue
+// shedding), conn=<n> fault injection (drop / stall the Nth accepted
+// connection), and graceful teardown (a shutdown op on any connection
+// stops the listener, half-closes every other connection's read side, and
+// waits for each to drain). Everything about framing, control ops, and
+// per-connection drain lives in serve_connection.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +33,9 @@
 
 namespace softsched::serve {
 
-/// A parsed --listen value: "stdio", "tcp:HOST:PORT" (PORT 0 = ephemeral,
-/// resolved at bind and reported by listener::address()), or "unix:PATH".
+/// A parsed --listen value: "stdio", "tcp:HOST:PORT" (HOST a dotted IPv4
+/// address or "localhost"; PORT 0 = ephemeral, resolved at bind and
+/// reported by listener::address()), or "unix:PATH".
 struct listen_spec {
   enum class transport { stdio, tcp, unix_domain };
 
@@ -41,15 +44,17 @@ struct listen_spec {
   std::uint16_t port = 0;  ///< tcp
   std::string path;        ///< unix: filesystem path of the socket
 
-  /// Parses the --listen grammar; throws precondition_error naming the
-  /// accepted forms on anything else.
+  /// Parses the --listen grammar; throws precondition_error, its message
+  /// starting "--listen:", on anything else (an unknown transport, a
+  /// missing or bad host, port or path).
   [[nodiscard]] static listen_spec parse(std::string_view text);
 
   /// The spec back in --listen grammar.
   [[nodiscard]] std::string label() const;
 };
 
-/// Binds a listening socket for a tcp/unix spec (stdio has no listener).
+/// Binds a listening socket for a tcp/unix spec (the stdio listener is an
+/// iostream_listener over the caller's streams).
 /// Throws precondition_error when the address cannot be bound. A unix
 /// listener unlinks a pre-existing socket file before binding and removes
 /// its own on destruction.
@@ -77,12 +82,14 @@ struct socket_server_summary {
   connection_counters_snapshot conns;
 };
 
-/// The accept loop: one reader thread per accepted connection, all running
-/// serve_connection against the shared service. run() blocks until a
-/// client sends {"op":"shutdown"} or stop() is called, then tears down
-/// gracefully: the listener stops, every open connection's read side is
-/// half-closed (its client sees complete responses for everything already
-/// submitted, then EOF), and every connection thread is joined.
+/// The accept loop of every transport: one reader thread per accepted
+/// connection, all running serve_connection against the shared service.
+/// run() blocks until a client sends {"op":"shutdown"}, stop() is called or
+/// the listener has no more connections (an iostream_listener after its
+/// one), then tears down gracefully: the listener stops, every open
+/// connection's read side is half-closed (its client sees complete
+/// responses for everything already submitted, then EOF), and every
+/// connection thread is joined.
 class socket_server {
 public:
   /// `accept_from` and `svc` must outlive the server. Connection faults

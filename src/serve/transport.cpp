@@ -44,6 +44,11 @@ bool iostream_byte_stream::flush() {
   return !out_->fail();
 }
 
+std::unique_ptr<byte_stream> iostream_listener::accept() {
+  if (!open_.exchange(false, std::memory_order_acq_rel)) return nullptr;
+  return std::make_unique<iostream_byte_stream>(in_, out_);
+}
+
 connection_counters_snapshot snapshot(const connection_counters& c) {
   connection_counters_snapshot s;
   s.accepted = c.accepted.load(std::memory_order_relaxed);
@@ -128,16 +133,6 @@ bool write_frame(byte_stream& out, std::string_view payload) {
   if (!out.write_all(payload)) return false;
   if (!out.write_all("\n")) return false;
   return out.flush();
-}
-
-frame_read read_frame(std::istream& in, const frame_limits& limits) {
-  iostream_byte_stream stream(&in, nullptr);
-  return read_frame(stream, limits);
-}
-
-void write_frame(std::ostream& out, std::string_view payload) {
-  iostream_byte_stream stream(nullptr, &out);
-  (void)write_frame(stream, payload);
 }
 
 } // namespace softsched::serve

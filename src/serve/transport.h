@@ -12,15 +12,16 @@
 // (inline multi-line `dfg` uploads) remain unambiguous, because the reader
 // consumes by count, never by scanning for a delimiter.
 //
-// The codec is written against `byte_stream`, so the same framing serves
-// stdio (iostream_byte_stream below), TCP and Unix-domain sockets
-// (serve/socket.h), and any future transport without touching the daemon;
-// the historical std::istream/std::ostream entry points remain as thin
-// adapters. Hostile input never throws and never desynchronizes silently -
-// a malformed length, an oversize frame, or an EOF mid-frame comes back as
-// frame_status::error with a diagnostic, and the daemon's policy (emit one
-// transport-error response, stop reading *that stream*, drain) is pinned
-// in tests/daemon_test.cpp.
+// Every transport is a listener, and socket_server (serve/socket.h) runs
+// one accept loop over whichever the daemon was given: stdio is an
+// iostream_listener below, a listener with exactly one connection over the
+// --serve input and --out streams; TCP and Unix-domain sockets are the
+// listeners of serve/socket.h. The codec is written against `byte_stream`,
+// so the same framing serves all of them. Hostile input never throws and
+// never desynchronizes silently - a malformed length, an oversize frame,
+// or an EOF mid-frame comes back as frame_status::error with a diagnostic,
+// and the daemon's policy (emit one transport-error response, stop reading
+// *that stream*, drain) is pinned in tests/daemon_test.cpp.
 #pragma once
 
 #include <atomic>
@@ -108,10 +109,11 @@ private:
   std::atomic<std::uint64_t> bytes_out_{0};
 };
 
-/// std::istream/std::ostream adapter - the stdio transport, and the bridge
-/// that keeps the historical iostream codec entry points working. Either
-/// side may be null (a read-only or write-only stream). Carries no state of
-/// its own beyond the counters, so adapters may be constructed per call.
+/// std::istream/std::ostream adapter - the stream of the stdio transport.
+/// Either side may be null (a read-only or write-only stream). Carries no
+/// state of its own beyond the counters, so adapters may be constructed per
+/// call. A blocked istream read cannot be interrupted, so shutdown_read()
+/// stays a no-op: the stream is read to its own end.
 class iostream_byte_stream final : public byte_stream {
 public:
   iostream_byte_stream(std::istream* in, std::ostream* out) : in_(in), out_(out) {}
@@ -138,6 +140,26 @@ public:
   /// The bound address in --listen grammar (after ephemeral-port
   /// resolution), e.g. "tcp:127.0.0.1:45123" or "unix:serve.sock".
   [[nodiscard]] virtual std::string address() const = 0;
+};
+
+/// The stdio transport as a listener: exactly one connection, an
+/// iostream_byte_stream over `in` and `out`. The first accept() returns it
+/// (unless shutdown() came first); every later one returns null, so the
+/// accept loop serves that one connection to its end - EOF, a shutdown op
+/// or a transport error - and returns. Both streams must outlive the
+/// connection.
+class iostream_listener final : public listener {
+public:
+  iostream_listener(std::istream& in, std::ostream& out) : in_(&in), out_(&out) {}
+
+  [[nodiscard]] std::unique_ptr<byte_stream> accept() override;
+  void shutdown() override { open_.store(false, std::memory_order_release); }
+  [[nodiscard]] std::string address() const override { return "stdio"; }
+
+private:
+  std::istream* in_;
+  std::ostream* out_;
+  std::atomic<bool> open_{true};
 };
 
 /// Aggregate transport counters for one daemon session, shared by every
@@ -185,10 +207,5 @@ struct connection_counters_snapshot {
 /// waiting for the daemon's output buffer to fill. Returns false when the
 /// stream rejected the write (peer gone).
 bool write_frame(byte_stream& out, std::string_view payload);
-
-/// Historical iostream entry points - thin adapters over the byte_stream
-/// codec, kept for shell tooling, tests, and single-stream callers.
-[[nodiscard]] frame_read read_frame(std::istream& in, const frame_limits& limits = {});
-void write_frame(std::ostream& out, std::string_view payload);
 
 } // namespace softsched::serve

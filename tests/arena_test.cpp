@@ -3,8 +3,9 @@
 // requests, counter accuracy; then the two properties the redesign gates
 // on: (1) instrumented allocation counts - a warmed arena context runs the
 // soft scheduler with several-fold fewer heap allocations than heap mode -
-// and (2) serve responses are byte-identical with the arena on or off
-// across worker counts, cache sizes, and block sizes.
+// and (2) the service's responses, always arena-backed, are byte-identical
+// across worker counts and cache sizes to a reference built stage by stage
+// on a heap-mode context.
 //
 // This binary links softsched::alloc_count, so every operator new in the
 // process is counted; tests diff the counters around the region of
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,10 +21,12 @@
 #include "ir/benchmarks.h"
 #include "sched/backend.h"
 #include "serve/daemon.h"
-#include "serve/options.h"
+#include "serve/engine.h"
+#include "serve/request.h"
 #include "util/alloc_count.h"
 #include "util/arena.h"
 #include "util/check.h"
+#include "util/json_parse.h"
 
 namespace si = softsched::ir;
 namespace ss = softsched::sched;
@@ -180,6 +184,38 @@ TEST(AllocRegression, WarmedArenaContextBeatsHeapModeFivefold) {
 
 // -- serve byte parity ------------------------------------------------------
 
+namespace {
+
+/// The response line the service owes `text` as request `line`, built from
+/// the pipeline's stage functions on `heap` - no service, no cache, no
+/// dedup, no arena.
+std::string reference_line(std::size_t line, const std::string& text,
+                           ss::run_context& heap) {
+  sv::response r;
+  r.line = line;
+  r.id = "line" + std::to_string(line);
+  try {
+    const sv::request req = sv::parse_request_line(text);
+    if (!req.id.empty()) r.id = req.id;
+    r.backend = req.backend;
+    const sv::source_info source = sv::hash_request_source(req);
+    if (!source.error.empty()) {
+      r.error = source.error;
+    } else {
+      r.key = sv::schedule_key_for(req, source.digest);
+      r.result = sv::result_to_source_order(
+          sv::compute_canonical_schedule(req, source.canonical_of, heap), source.canonical_of);
+    }
+  } catch (const softsched::json_error& e) {
+    r.error = e.what();
+  }
+  std::ostringstream out;
+  sv::write_response_line(out, r, /*emit_schedule=*/true);
+  return batch_session::strip_ms(out.str());
+}
+
+} // namespace
+
 TEST(ServeParity, ArenaOnOffByteIdenticalAcrossJobsAndCaches) {
   const std::vector<std::string> lines = {
       R"({"id":"a","bench":"ewf"})",
@@ -190,36 +226,23 @@ TEST(ServeParity, ArenaOnOffByteIdenticalAcrossJobsAndCaches) {
       R"({"id":"e","bench":"fir16","muls":3})",
       R"({"id":"f","bench":"iir4","mul_latency":1})",
   };
-  // ms is the one field allowed to differ between configurations.
-  const auto modulo_ms = [&](const sv::service_options& opt) {
-    return batch_session::strip_ms(batch_session::run(opt, lines));
-  };
-  sv::service_options serial;
-  serial.jobs = 1;
-  serial.arena = false; // the heap baseline is the reference
-  const std::vector<std::string> expected = modulo_ms(serial);
-  ASSERT_EQ(expected.size(), lines.size());
+  // The heap baseline is the reference: one heap-mode context runs every
+  // request through the stage functions in turn.
+  ss::run_context heap(ss::arena_mode::off);
+  ASSERT_FALSE(heap.arena_enabled());
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    expected.push_back(reference_line(i + 1, lines[i], heap));
+  ASSERT_NE(expected[4].find("\"error\""), std::string::npos) << expected[4]; // "bad"
 
+  // ms is the one field allowed to differ between configurations.
   for (const int jobs : {1, 4, 8}) {
     for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{1} << 26}) {
-      for (const bool arena : {true, false}) {
-        sv::service_options opt;
-        opt.jobs = jobs;
-        opt.cache_bytes = cache_bytes;
-        opt.arena = arena;
-        EXPECT_EQ(modulo_ms(opt), expected)
-            << "jobs " << jobs << " cache " << cache_bytes << " arena " << arena;
-      }
+      sv::service_options opt;
+      opt.jobs = jobs;
+      opt.cache_bytes = cache_bytes;
+      EXPECT_EQ(batch_session::strip_ms(batch_session::run(opt, lines)), expected)
+          << "jobs " << jobs << " cache " << cache_bytes;
     }
   }
-}
-
-TEST(ServeParity, ArenaFlagGrammarRoundTrips) {
-  EXPECT_TRUE(sv::parse_arena_flag("on"));
-  EXPECT_FALSE(sv::parse_arena_flag("off"));
-  EXPECT_THROW((void)sv::parse_arena_flag("65536"), softsched::precondition_error);
-  EXPECT_THROW((void)sv::parse_arena_flag(""), softsched::precondition_error);
-  EXPECT_THROW((void)sv::parse_arena_flag("0"), softsched::precondition_error);
-  EXPECT_THROW((void)sv::parse_arena_flag("64k"), softsched::precondition_error);
-  EXPECT_THROW((void)sv::parse_arena_flag("auto"), softsched::precondition_error);
 }

@@ -1,8 +1,9 @@
 # cli_check.cmake - runs one softsched_cli command line and checks its exit
-# status and, when EXPECT is non-empty, that its stdout or stderr contains
-# EXPECT. The Cli.* cases in tests/CMakeLists.txt run through it:
+# status and that its stdout or stderr contains every text in EXPECT (a
+# list; empty = no text check). The Cli.* cases in tests/CMakeLists.txt
+# run through it:
 #
-#   cmake -DCLI=<softsched_cli> "-DARGS=<args>" -DEXIT=<n> "-DEXPECT=<text>"
+#   cmake -DCLI=<softsched_cli> "-DARGS=<args>" -DEXIT=<n> "-DEXPECT=<text>[;<text>...]"
 #         -P cli_check.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${CLI}" ${args}
@@ -11,10 +12,10 @@ if(NOT status STREQUAL "${EXIT}")
   message(FATAL_ERROR "softsched_cli ${ARGS}: exit ${status}, expected ${EXIT}\n"
                       "stdout:\n${out}\nstderr:\n${err}")
 endif()
-if(NOT EXPECT STREQUAL "")
-  string(FIND "${out}${err}" "${EXPECT}" at)
+foreach(text IN LISTS EXPECT)
+  string(FIND "${out}${err}" "${text}" at)
   if(at EQUAL -1)
-    message(FATAL_ERROR "softsched_cli ${ARGS}: output lacks '${EXPECT}'\n"
+    message(FATAL_ERROR "softsched_cli ${ARGS}: output lacks '${text}'\n"
                         "stdout:\n${out}\nstderr:\n${err}")
   endif()
-endif()
+endforeach()

@@ -5,10 +5,10 @@
 // clients, many short connections on one service, graceful
 // drain, the lock-light latency histogram against a sorted-vector oracle,
 // the SOFTSCHED_INJECT fault plan (grammar + slot/shard/conn injection
-// semantics), the --listen/--serve flag surface (serve/options.h), and the
-// socket transports: stdio/tcp/unix response parity, hello negotiation,
-// the --max-conns shed boundary, cross-connection dedup, and dead-client
-// isolation.
+// semantics), the --listen grammar, and the transports, all served by the
+// one accept loop: stdio sessions over an iostream_listener, stdio/tcp/unix
+// response parity, hello negotiation, the --max-conns shed boundary,
+// cross-connection dedup, and dead-client isolation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +27,6 @@
 #include "batch_session.h"
 #include "serve/daemon.h"
 #include "serve/metrics.h"
-#include "serve/options.h"
 #include "serve/protocol.h"
 #include "serve/socket.h"
 #include "serve/transport.h"
@@ -44,8 +43,15 @@ namespace {
 /// Frames each line as the daemon's client would.
 std::string framed(const std::vector<std::string>& lines) {
   std::ostringstream out;
-  for (const std::string& l : lines) sv::write_frame(out, l);
+  sv::iostream_byte_stream stream(nullptr, &out);
+  for (const std::string& l : lines) EXPECT_TRUE(sv::write_frame(stream, l));
   return std::move(out).str();
+}
+
+/// Reads one frame from `in` through the stdio stream adapter.
+sv::frame_read read_from(std::istream& in, const sv::frame_limits& limits = {}) {
+  sv::iostream_byte_stream stream(&in, nullptr);
+  return sv::read_frame(stream, limits);
 }
 
 /// Decodes every frame in a daemon output stream.
@@ -53,7 +59,7 @@ std::vector<std::string> unframed(const std::string& wire) {
   std::istringstream in(wire);
   std::vector<std::string> payloads;
   for (;;) {
-    const sv::frame_read f = sv::read_frame(in);
+    const sv::frame_read f = read_from(in);
     if (f.status != sv::frame_status::ok) {
       EXPECT_EQ(f.status, sv::frame_status::eof) << f.error;
       break;
@@ -89,6 +95,30 @@ struct collector {
   }
 };
 
+/// One stdio daemon session as `softsched_cli --serve -` runs it: `wire`
+/// is the one connection of an iostream_listener, served by the accept
+/// loop against a fresh service.
+struct stdio_session {
+  sv::socket_server_summary summary;
+  sv::service_stats stats; ///< svc.stats() once the service drained
+  std::string out;         ///< the response stream
+};
+
+stdio_session serve_stdio(const std::string& wire, const sv::service_options& sopt,
+                          const sv::socket_server_options& opt = {}) {
+  std::istringstream in(wire);
+  std::ostringstream out;
+  sv::iostream_listener stdio(in, out);
+  sv::service svc(sopt);
+  sv::socket_server server(stdio, svc, opt);
+  stdio_session session;
+  session.summary = server.run();
+  svc.drain();
+  session.stats = svc.stats();
+  session.out = std::move(out).str();
+  return session;
+}
+
 /// Exact nearest-rank percentile (the oracle the histogram approximates
 /// from above; same definition as bench/load_scenario.h).
 double exact_percentile(std::vector<double> sample, double p) {
@@ -104,42 +134,33 @@ double exact_percentile(std::vector<double> sample, double p) {
 // -- frame codec ------------------------------------------------------------
 
 TEST(FrameCodec, RoundTripsSimplePayload) {
-  std::ostringstream out;
-  sv::write_frame(out, R"({"id":"a","bench":"ewf"})");
-  std::istringstream in(out.str());
-  const sv::frame_read f = sv::read_frame(in);
+  std::istringstream in(framed({R"({"id":"a","bench":"ewf"})"}));
+  const sv::frame_read f = read_from(in);
   ASSERT_EQ(f.status, sv::frame_status::ok) << f.error;
   EXPECT_EQ(f.payload, R"({"id":"a","bench":"ewf"})");
-  EXPECT_EQ(sv::read_frame(in).status, sv::frame_status::eof);
+  EXPECT_EQ(read_from(in).status, sv::frame_status::eof);
 }
 
 TEST(FrameCodec, RoundTripsEmbeddedNewlinesAndEmptyPayload) {
   // Counted framing is what lets a multi-line dfg upload cross the wire.
   const std::string multiline = "dfg t\nop a add\nop b add a\n";
-  std::ostringstream out;
-  sv::write_frame(out, multiline);
-  sv::write_frame(out, "");
-  sv::write_frame(out, "tail");
-  std::istringstream in(out.str());
-  sv::frame_read f = sv::read_frame(in);
+  std::istringstream in(framed({multiline, "", "tail"}));
+  sv::frame_read f = read_from(in);
   ASSERT_EQ(f.status, sv::frame_status::ok);
   EXPECT_EQ(f.payload, multiline);
-  f = sv::read_frame(in);
+  f = read_from(in);
   ASSERT_EQ(f.status, sv::frame_status::ok);
   EXPECT_EQ(f.payload, "");
-  f = sv::read_frame(in);
+  f = read_from(in);
   ASSERT_EQ(f.status, sv::frame_status::ok);
   EXPECT_EQ(f.payload, "tail");
-  EXPECT_EQ(sv::read_frame(in).status, sv::frame_status::eof);
+  EXPECT_EQ(read_from(in).status, sv::frame_status::eof);
 }
 
 TEST(FrameCodec, SingleLinePayloadsKeepLineStructure) {
   // The shell contract: length lines and payload lines alternate, so
   // `awk 'NR%2==0'` recovers the payloads.
-  std::ostringstream out;
-  sv::write_frame(out, "one");
-  sv::write_frame(out, "two");
-  std::istringstream lines(out.str());
+  std::istringstream lines(framed({"one", "two"}));
   std::vector<std::string> seen;
   for (std::string l; std::getline(lines, l);) seen.push_back(l);
   ASSERT_EQ(seen.size(), 4u);
@@ -151,7 +172,7 @@ TEST(FrameCodec, SingleLinePayloadsKeepLineStructure) {
 
 TEST(FrameCodec, TruncatedPayloadIsAnError) {
   std::istringstream in("10\nabc");
-  const sv::frame_read f = sv::read_frame(in);
+  const sv::frame_read f = read_from(in);
   EXPECT_EQ(f.status, sv::frame_status::error);
   EXPECT_NE(f.error.find("truncated"), std::string::npos) << f.error;
 }
@@ -160,22 +181,19 @@ TEST(FrameCodec, OversizeLengthRejectedBeforeBuffering) {
   // A hostile length must be refused on its face - no attempt to allocate
   // or read the claimed payload (here the payload isn't even present).
   std::istringstream in("999999999999\n");
-  const sv::frame_read f = sv::read_frame(in, sv::frame_limits{1 << 20});
+  const sv::frame_read f = read_from(in, sv::frame_limits{1 << 20});
   EXPECT_EQ(f.status, sv::frame_status::error);
   EXPECT_NE(f.error.find("exceeds"), std::string::npos) << f.error;
 
   // At the limit exactly, the frame is still legal.
   const std::string big(1 << 10, 'x');
-  std::ostringstream out;
-  sv::write_frame(out, big);
-  std::istringstream ok_in(out.str());
-  EXPECT_EQ(sv::read_frame(ok_in, sv::frame_limits{1 << 10}).status,
-            sv::frame_status::ok);
+  std::istringstream ok_in(framed({big}));
+  EXPECT_EQ(read_from(ok_in, sv::frame_limits{1 << 10}).status, sv::frame_status::ok);
 }
 
 TEST(FrameCodec, EofInsideLengthLineIsAnError) {
   std::istringstream in("12"); // digits, then EOF before '\n'
-  const sv::frame_read f = sv::read_frame(in);
+  const sv::frame_read f = read_from(in);
   EXPECT_EQ(f.status, sv::frame_status::error);
   EXPECT_NE(f.error.find("EOF"), std::string::npos) << f.error;
 }
@@ -184,13 +202,13 @@ TEST(FrameCodec, MalformedLengthLineIsAnError) {
   for (const char* wire : {"abc\nxyz\n", "-3\nxyz\n", "3x\nxyz\n", "\nxyz\n",
                            "999999999999999999999999\nx\n"}) {
     std::istringstream in(wire);
-    EXPECT_EQ(sv::read_frame(in).status, sv::frame_status::error) << wire;
+    EXPECT_EQ(read_from(in).status, sv::frame_status::error) << wire;
   }
 }
 
 TEST(FrameCodec, MissingTerminatorIsAnError) {
   std::istringstream in("3\nabc"); // count consumed, payload read, no '\n'
-  const sv::frame_read f = sv::read_frame(in);
+  const sv::frame_read f = read_from(in);
   EXPECT_EQ(f.status, sv::frame_status::error);
   EXPECT_NE(f.error.find("terminator"), std::string::npos) << f.error;
 }
@@ -558,25 +576,40 @@ TEST(ServeInjection, FailedShardIsUnavailableNotFatal) {
   EXPECT_TRUE(got.responses[0].result.same_schedule(got.responses[1].result));
 }
 
-// -- run_daemon -------------------------------------------------------------
+// -- stdio sessions (iostream_listener + the accept loop) -------------------
+
+TEST(StdioListener, HandsOutOneConnectionThenNone) {
+  std::istringstream in;
+  std::ostringstream out;
+  sv::iostream_listener stdio(in, out);
+  EXPECT_EQ(stdio.address(), "stdio");
+  const std::unique_ptr<sv::byte_stream> conn = stdio.accept();
+  ASSERT_NE(conn, nullptr);
+  EXPECT_EQ(conn->label(), "stdio");
+  EXPECT_EQ(stdio.accept(), nullptr); // one connection, then none
+
+  sv::iostream_listener stopped(in, out);
+  stopped.shutdown();
+  EXPECT_EQ(stopped.accept(), nullptr); // stopped before its first accept
+}
 
 TEST(ServeDaemon, StreamingModeAnswersEveryFrame) {
-  std::istringstream in(framed({
-      R"({"id":"a","bench":"ewf"})",
-      R"({"id":"b","bench":"hal"})",
-      R"({"id":"c","broken)",
-  }));
-  std::ostringstream out;
-  sv::daemon_options opt;
-  opt.service.jobs = 1;
-  const sv::daemon_summary summary = sv::run_daemon(in, out, opt);
+  sv::service_options sopt;
+  sopt.jobs = 1;
+  const stdio_session run = serve_stdio(framed({
+                                            R"({"id":"a","bench":"ewf"})",
+                                            R"({"id":"b","bench":"hal"})",
+                                            R"({"id":"c","broken)",
+                                        }),
+                                        sopt);
+  const sv::socket_server_summary& summary = run.summary;
   EXPECT_EQ(summary.frames, 3u);
   EXPECT_EQ(summary.requests, 3u);
   EXPECT_EQ(summary.responses, 3u);
   EXPECT_FALSE(summary.shutdown_requested);
-  EXPECT_FALSE(summary.transport_error);
-  EXPECT_EQ(summary.stats.completed, 3u);
-  const std::vector<std::string> payloads = unframed(out.str());
+  EXPECT_EQ(summary.conns.transport_errors, 0u);
+  EXPECT_EQ(run.stats.completed, 3u);
+  const std::vector<std::string> payloads = unframed(run.out);
   ASSERT_EQ(payloads.size(), 3u);
   int errors = 0;
   for (const std::string& p : payloads) {
@@ -594,13 +627,11 @@ TEST(ServeDaemon, OrderedAndStreamingModesAgreeOnPayloads) {
       R"({"id":"e","bench":"iir4"})",
   };
   auto run = [&lines](bool ordered) {
-    std::istringstream in(framed(lines));
-    std::ostringstream out;
-    sv::daemon_options opt;
-    opt.service.jobs = 4;
-    opt.ordered = ordered;
-    (void)sv::run_daemon(in, out, opt);
-    std::vector<std::string> payloads = unframed(out.str());
+    sv::service_options sopt;
+    sopt.jobs = 4;
+    sv::socket_server_options opt;
+    opt.connection.ordered = ordered;
+    std::vector<std::string> payloads = unframed(serve_stdio(framed(lines), sopt, opt).out);
     for (std::string& p : payloads) p = strip_ms(p);
     return payloads;
   };
@@ -636,13 +667,11 @@ TEST(ServeDaemon, OrderedModeMatchesBatchEngineByteForByte) {
   std::vector<std::string> session_lines = batch_session::run(batch_opt, lines);
   for (std::string& l : session_lines) l = strip_ms(l);
 
-  std::istringstream daemon_in(framed(lines));
-  std::ostringstream daemon_out;
-  sv::daemon_options dopt;
-  dopt.service.jobs = 4;
-  dopt.ordered = true;
-  (void)sv::run_daemon(daemon_in, daemon_out, dopt);
-  std::vector<std::string> daemon_lines = unframed(daemon_out.str());
+  sv::service_options sopt;
+  sopt.jobs = 4;
+  sv::socket_server_options opt;
+  opt.connection.ordered = true;
+  std::vector<std::string> daemon_lines = unframed(serve_stdio(framed(lines), sopt, opt).out);
   for (std::string& p : daemon_lines) p = strip_ms(p);
 
   ASSERT_EQ(daemon_lines.size(), session_lines.size());
@@ -711,17 +740,16 @@ TEST(ServeBatch, NarrowQueueNeverShedsAndAnswersInInputOrder) {
 }
 
 TEST(ServeDaemon, StatsControlFrameReportsLiveCounters) {
-  std::istringstream in(framed({
-      R"({"id":"a","bench":"ewf"})",
-      R"({"op":"stats"})",
-  }));
-  std::ostringstream out;
-  sv::daemon_options opt;
-  opt.service.jobs = 1;
-  const sv::daemon_summary summary = sv::run_daemon(in, out, opt);
-  EXPECT_EQ(summary.frames, 2u);
-  EXPECT_EQ(summary.requests, 1u); // the control frame is not a request
-  const std::vector<std::string> payloads = unframed(out.str());
+  sv::service_options sopt;
+  sopt.jobs = 1;
+  const stdio_session run = serve_stdio(framed({
+                                            R"({"id":"a","bench":"ewf"})",
+                                            R"({"op":"stats"})",
+                                        }),
+                                        sopt);
+  EXPECT_EQ(run.summary.frames, 2u);
+  EXPECT_EQ(run.summary.requests, 1u); // the control frame is not a request
+  const std::vector<std::string> payloads = unframed(run.out);
   ASSERT_EQ(payloads.size(), 2u);
   const json_value* stats = nullptr;
   std::vector<json_value> docs;
@@ -737,21 +765,21 @@ TEST(ServeDaemon, StatsControlFrameReportsLiveCounters) {
 }
 
 TEST(ServeDaemon, ShutdownDrainsThenAcksAndStopsReading) {
-  std::istringstream in(framed({
-      R"({"id":"a","bench":"ewf"})",
-      R"({"id":"b","bench":"hal"})",
-      R"({"op":"shutdown"})",
-      R"({"id":"never","bench":"ewf"})", // after shutdown: must stay unread
-  }));
-  std::ostringstream out;
-  sv::daemon_options opt;
-  opt.service.jobs = 2;
-  const sv::daemon_summary summary = sv::run_daemon(in, out, opt);
-  EXPECT_TRUE(summary.shutdown_requested);
-  EXPECT_EQ(summary.frames, 3u);
-  EXPECT_EQ(summary.requests, 2u);
-  EXPECT_EQ(summary.stats.completed, 2u); // drained before the ack
-  const std::vector<std::string> payloads = unframed(out.str());
+  sv::service_options sopt;
+  sopt.jobs = 2;
+  const stdio_session run =
+      serve_stdio(framed({
+                      R"({"id":"a","bench":"ewf"})",
+                      R"({"id":"b","bench":"hal"})",
+                      R"({"op":"shutdown"})",
+                      R"({"id":"never","bench":"ewf"})", // after shutdown: must stay unread
+                  }),
+                  sopt);
+  EXPECT_TRUE(run.summary.shutdown_requested);
+  EXPECT_EQ(run.summary.frames, 3u);
+  EXPECT_EQ(run.summary.requests, 2u);
+  EXPECT_EQ(run.stats.completed, 2u); // drained before the ack
+  const std::vector<std::string> payloads = unframed(run.out);
   ASSERT_EQ(payloads.size(), 3u);
   // Pre-shutdown requests all answered; the ack is the final frame.
   EXPECT_EQ(payloads.back(), R"({"op":"shutdown","drained":true,"flushed":0})");
@@ -760,17 +788,17 @@ TEST(ServeDaemon, ShutdownDrainsThenAcksAndStopsReading) {
 }
 
 TEST(ServeDaemon, UnknownOpIsAnErrorFrameNotAShutdown) {
-  std::istringstream in(framed({
-      R"({"op":"restart"})",
-      R"({"id":"after","bench":"fig1"})", // daemon keeps serving
-  }));
-  std::ostringstream out;
-  sv::daemon_options opt;
-  opt.service.jobs = 1;
-  const sv::daemon_summary summary = sv::run_daemon(in, out, opt);
-  EXPECT_FALSE(summary.shutdown_requested);
-  EXPECT_EQ(summary.requests, 1u);
-  const std::vector<std::string> payloads = unframed(out.str());
+  sv::service_options sopt;
+  sopt.jobs = 1;
+  const stdio_session run =
+      serve_stdio(framed({
+                      R"({"op":"restart"})",
+                      R"({"id":"after","bench":"fig1"})", // daemon keeps serving
+                  }),
+                  sopt);
+  EXPECT_FALSE(run.summary.shutdown_requested);
+  EXPECT_EQ(run.summary.requests, 1u);
+  const std::vector<std::string> payloads = unframed(run.out);
   ASSERT_EQ(payloads.size(), 2u);
   // The versioned protocol answers a *structured* error: stable error
   // code, the offending op echoed, the wire version for clients to match.
@@ -786,16 +814,14 @@ TEST(ServeDaemon, TransportErrorAnswersOnceDrainsAndStops) {
   std::string wire = framed({R"({"id":"a","bench":"ewf"})"});
   wire += "bogus-length\n";                       // malformed frame
   wire += framed({R"({"id":"b","bench":"hal"})"}); // must stay unread
-  std::istringstream in(wire);
-  std::ostringstream out;
-  sv::daemon_options opt;
-  opt.service.jobs = 1;
-  const sv::daemon_summary summary = sv::run_daemon(in, out, opt);
-  EXPECT_TRUE(summary.transport_error);
-  EXPECT_EQ(summary.frames, 1u); // only the well-formed frame counted
-  EXPECT_EQ(summary.requests, 1u);
-  EXPECT_EQ(summary.stats.completed, 1u); // admitted work still drained
-  const std::vector<std::string> payloads = unframed(out.str());
+  sv::service_options sopt;
+  sopt.jobs = 1;
+  const stdio_session run = serve_stdio(wire, sopt);
+  EXPECT_EQ(run.summary.conns.transport_errors, 1u);
+  EXPECT_EQ(run.summary.frames, 1u); // only the well-formed frame counted
+  EXPECT_EQ(run.summary.requests, 1u);
+  EXPECT_EQ(run.stats.completed, 1u); // admitted work still drained
+  const std::vector<std::string> payloads = unframed(run.out);
   ASSERT_EQ(payloads.size(), 2u);
   bool saw_transport = false;
   for (const std::string& p : payloads) {
@@ -814,20 +840,20 @@ TEST(ServeDaemon, OverloadShedsWithOverloadedFramesInOrder) {
   // and "overloaded" responses - exactly one frame per request, in input
   // order under --serve-ordered.
   const std::vector<std::string> lines(8, R"({"bench":"fig1"})");
-  std::istringstream in(framed(lines));
-  std::ostringstream out;
-  sv::daemon_options opt;
-  opt.service.jobs = 1;
-  opt.service.queue_capacity = 1;
-  opt.service.retry_after_ms = 5;
-  opt.service.faults = sv::fault_plan::parse("slot=0:delay_ms=10");
-  opt.ordered = true;
-  const sv::daemon_summary summary = sv::run_daemon(in, out, opt);
-  EXPECT_EQ(summary.requests, 8u);
-  EXPECT_EQ(summary.responses, 8u);
-  EXPECT_GT(summary.stats.overloaded, 0u);
-  EXPECT_LE(summary.stats.peak_queue_depth, 1u);
-  const std::vector<std::string> payloads = unframed(out.str());
+  sv::service_options sopt;
+  sopt.jobs = 1;
+  sopt.queue_capacity = 1;
+  sopt.retry_after_ms = 5;
+  sopt.faults = sv::fault_plan::parse("slot=0:delay_ms=10");
+  sv::socket_server_options opt;
+  opt.connection.ordered = true;
+  const stdio_session run = serve_stdio(framed(lines), sopt, opt);
+  const sv::service_stats& stats = run.stats;
+  EXPECT_EQ(run.summary.requests, 8u);
+  EXPECT_EQ(run.summary.responses, 8u);
+  EXPECT_GT(stats.overloaded, 0u);
+  EXPECT_LE(stats.peak_queue_depth, 1u);
+  const std::vector<std::string> payloads = unframed(run.out);
   ASSERT_EQ(payloads.size(), 8u);
   std::uint64_t shed = 0;
   for (std::size_t i = 0; i < payloads.size(); ++i) {
@@ -839,11 +865,59 @@ TEST(ServeDaemon, OverloadShedsWithOverloadedFramesInOrder) {
       EXPECT_NE(payloads[i].find("\"retry_after_ms\":5"), std::string::npos);
     }
   }
-  EXPECT_EQ(shed, summary.stats.overloaded);
-  EXPECT_EQ(shed + summary.stats.completed, 8u);
+  EXPECT_EQ(shed, stats.overloaded);
+  EXPECT_EQ(shed + stats.completed, 8u);
 }
 
-// -- listen spec + flag surface (serve/options.h) ---------------------------
+TEST(ServeDaemon, EscapedOpKeyStillGetsTheStatsFrame) {
+  // "\u006fp" decodes to "op": the frame is a control frame even though
+  // its bytes never spell "op" between quotes.
+  sv::service_options sopt;
+  sopt.jobs = 1;
+  const stdio_session run = serve_stdio(framed({R"({"\u006fp":"stats"})"}), sopt);
+  EXPECT_EQ(run.summary.frames, 1u);
+  EXPECT_EQ(run.summary.requests, 0u); // answered as control, never submitted
+  const std::vector<std::string> payloads = unframed(run.out);
+  ASSERT_EQ(payloads.size(), 1u);
+  const json_value v = parse_json(payloads[0]);
+  EXPECT_EQ(v.find("op")->as_string(), "stats");
+  EXPECT_EQ(v.find("submitted")->as_integer(0, 100), 0);
+  EXPECT_EQ(run.stats.submitted, 0u);
+}
+
+TEST(ServeDaemon, OpAsAStringValueIsStillARequest) {
+  // The bytes "op" in a value, not a key: classified by the full parse
+  // and scheduled like any request.
+  sv::service_options sopt;
+  sopt.jobs = 1;
+  const stdio_session run = serve_stdio(framed({R"({"id":"op","bench":"ewf"})"}), sopt);
+  EXPECT_EQ(run.summary.requests, 1u);
+  const std::vector<std::string> payloads = unframed(run.out);
+  ASSERT_EQ(payloads.size(), 1u);
+  const json_value v = parse_json(payloads[0]);
+  EXPECT_EQ(v.find("id")->as_string(), "op");
+  EXPECT_EQ(v.find("error"), nullptr) << payloads[0];
+  EXPECT_TRUE(v.find("feasible")->as_bool());
+  EXPECT_EQ(run.stats.computed, 1u);
+}
+
+TEST(ServeDaemon, ConnRulesReachTheStdioConnection) {
+  // stdio is a listener of the same accept loop, so conn=<n> rules apply
+  // to its one connection: dropped unread, nothing answered.
+  sv::service_options sopt;
+  sopt.jobs = 1;
+  sopt.faults = sv::fault_plan::parse("conn=1:drop");
+  const stdio_session run = serve_stdio(framed({R"({"id":"a","bench":"ewf"})"}), sopt);
+  EXPECT_EQ(run.summary.conns.transport, "stdio");
+  EXPECT_EQ(run.summary.conns.accepted, 1u);
+  EXPECT_EQ(run.summary.conns.faulted, 1u);
+  EXPECT_EQ(run.summary.conns.closed, 1u);
+  EXPECT_EQ(run.summary.requests, 0u);
+  EXPECT_TRUE(run.out.empty());
+  EXPECT_EQ(run.stats.submitted, 0u);
+}
+
+// -- listen spec ------------------------------------------------------------
 
 TEST(ListenSpec, ParsesStdioTcpAndUnixForms) {
   EXPECT_EQ(sv::listen_spec::parse("stdio").kind, sv::listen_spec::transport::stdio);
@@ -861,55 +935,12 @@ TEST(ListenSpec, ParsesStdioTcpAndUnixForms) {
 TEST(ListenSpec, RejectsMalformedSpecs) {
   for (const char* bad : {"", "tcp:", "tcp:127.0.0.1", "tcp::80", "tcp:host:",
                           "tcp:host:notaport", "tcp:host:70000", "unix:",
-                          "pipe:/tmp/x"})
+                          "pipe:/tmp/x", "tcp:example.com:80", "tcp:1.2.3:80"})
     EXPECT_THROW((void)sv::listen_spec::parse(bad), precondition_error) << bad;
-}
-
-TEST(ServeFlags, ValidationIsOneSharedErrorPath) {
-  const sv::serve_flags good;
-  EXPECT_NO_THROW(sv::validate_serve_flags(good));
-  sv::serve_flags f = good;
-  f.max_conns = 0;
-  EXPECT_THROW(sv::validate_serve_flags(f), precondition_error);
-  f = good;
-  f.serve_queue = 0;
-  EXPECT_THROW(sv::validate_serve_flags(f), precondition_error);
-  f = good;
-  f.cache_mb = -1;
-  EXPECT_THROW(sv::validate_serve_flags(f), precondition_error);
-  f = good;
-  f.disk_cache_mb = -1;
-  EXPECT_THROW(sv::validate_serve_flags(f), precondition_error);
-  f = good;
-  f.listen = "carrier-pigeon"; // the same path rejects a malformed --listen
-  EXPECT_THROW(sv::validate_serve_flags(f), precondition_error);
-}
-
-TEST(ServeFlags, MapIntoEngineAndDaemonOptions) {
-  // One options surface: --serve uses all of daemon_options, --serve-batch
-  // its service half.
-  sv::serve_flags f;
-  f.jobs = 3;
-  f.cache_mb = 8;
-  f.serve_queue = 32;
-  f.serve_ordered = true;
-  f.serve_compact = true;
-  f.max_conns = 5;
-  f.listen = "unix:/tmp/softsched-flags.sock";
-  f.cache_dir = "store";
-  f.disk_cache_mb = 2;
-  f.arena = "off";
-  const sv::daemon_options d = sv::daemon_options_from_flags(f);
-  EXPECT_EQ(d.service.jobs, 3);
-  EXPECT_EQ(d.service.cache_bytes, 8u << 20);
-  EXPECT_EQ(d.service.queue_capacity, 32u);
-  EXPECT_FALSE(d.service.emit_schedule);
-  EXPECT_EQ(d.service.cache_dir, "store");
-  EXPECT_EQ(d.service.disk_cache_bytes, 2u << 20);
-  EXPECT_FALSE(d.service.arena);
-  EXPECT_TRUE(d.ordered);
-  EXPECT_EQ(d.max_connections, 5u);
-  EXPECT_EQ(sv::listen_from_flags(f).path, "/tmp/softsched-flags.sock");
+  // A path the socket address cannot hold is malformed too.
+  EXPECT_THROW((void)sv::listen_spec::parse("unix:/" + std::string(200, 'x')),
+               precondition_error);
+  EXPECT_EQ(sv::listen_spec::parse("tcp:localhost:0").host, "localhost");
 }
 
 // -- conn= fault grammar ----------------------------------------------------
@@ -1021,24 +1052,20 @@ TEST(SocketDaemon, TcpAndUnixMatchStdioByteForByte) {
       R"({"id":"c","bench":"fig1"})",
   };
   // The stdio reference run, ordered so response order is deterministic.
-  std::istringstream in(framed(lines));
-  std::ostringstream out;
-  sv::daemon_options dopt;
-  dopt.service.jobs = 2;
-  dopt.ordered = true;
-  (void)sv::run_daemon(in, out, dopt);
-  std::vector<std::string> want = unframed(out.str());
+  sv::service_options sopt;
+  sopt.jobs = 2;
+  sv::socket_server_options opt;
+  opt.connection.ordered = true;
+  std::vector<std::string> want = unframed(serve_stdio(framed(lines), sopt, opt).out);
   for (std::string& p : want) p = strip_ms(p);
   ASSERT_EQ(want.size(), lines.size());
 
-  sv::socket_server_options opt;
-  opt.connection.ordered = true;
   const std::vector<sv::listen_spec> binds = {
       sv::listen_spec::parse("unix:" + unix_sock("parity")),
       sv::listen_spec::parse("tcp:127.0.0.1:0"),
   };
   for (const sv::listen_spec& bind : binds) {
-    socket_daemon daemon(bind, dopt.service, opt);
+    socket_daemon daemon(bind, sopt, opt);
     const sv::listen_spec addr = daemon.address();
     if (bind.kind == sv::listen_spec::transport::tcp) {
       EXPECT_NE(addr.port, 0); // ephemeral port resolved at bind

@@ -39,7 +39,6 @@
 #include "regalloc/left_edge.h"
 #include "sched/backend.h"
 #include "serve/daemon.h"
-#include "serve/options.h"
 #include "serve/socket.h"
 #include "regalloc/lifetime.h"
 #include "util/check.h"
@@ -79,7 +78,6 @@ struct options {
   bool compare = false;  // run every registered backend, print the comparison table
   std::string meta = "list"; // as typed; parsed into run_options.meta
   ss::backend_options run_options; // --meta, --latency, --iter-budget
-  ss::arena_mode arena = ss::arena_mode::on; // --arena, parsed
   std::uint64_t seed = 1;
   int alus = 2;
   int muls = 2;
@@ -103,8 +101,11 @@ struct options {
   // resident daemon mode: --serve [file|-], transport picked by --listen
   bool serve_mode = false;
   std::string serve = "-"; // framed request stream (stdio transport only)
-  // every serving knob, validated by one shared path (serve/options.h)
-  sv::serve_flags serve_flags;
+  sv::listen_spec listen;  // --listen
+  // Serving knobs, filled straight from their flags; `service` is both
+  // serve modes' (its jobs are --explore's too), `server` the daemon's.
+  sv::service_options service;
+  sv::socket_server_options server;
 };
 
 [[noreturn]] void usage(const char* argv0, const std::string& error = {}) {
@@ -123,8 +124,6 @@ struct options {
       << "  --iter-budget <n>                               sdc-iter refinement budget\n"
       << "                                                  (0 = base run only; default 8)\n"
       << "  --alus/--muls/--mems <n>                        resources (2/2/1)\n"
-      << "  --arena <on|off>                                per-run arena allocator (on);\n"
-      << "                                                  off = heap baseline\n"
       << "refinement of the live state (refinable backends: soft):\n"
       << "  --spill <op>                                    spill a value\n"
       << "  --wire <from>:<to>:<delay>                      insert wire delay\n"
@@ -177,6 +176,9 @@ T int_flag(const std::string& flag, const std::string& value, long long lo, long
   return static_cast<T>(parsed);
 }
 
+// --cache-mb / --disk-cache-mb: a flag's megabytes as a byte budget.
+std::size_t megabytes(int mb) { return static_cast<std::size_t>(mb) << 20; }
+
 // "lo:hi" or a single "n"; keeps `fallback` when the flag was not given.
 se::axis_range axis_flag(const std::string& flag, const std::string& spec,
                          se::axis_range fallback, long long lo, long long hi) {
@@ -222,7 +224,7 @@ options parse_args(int argc, char** argv) {
     else if (arg == "--spill") { opt.spills.push_back(need(i)); opt.live_flag = arg; }
     else if (arg == "--wire") { opt.wires.push_back(need(i)); opt.live_flag = arg; }
     else if (arg == "--explore") opt.explore = true;
-    else if (arg == "--jobs") opt.serve_flags.jobs = integer(i, 0, max_jobs);
+    else if (arg == "--jobs") opt.service.jobs = integer(i, 0, max_jobs);
     else if (arg == "--alus-range") opt.alus_range = need(i);
     else if (arg == "--muls-range") opt.muls_range = need(i);
     else if (arg == "--mems-range") opt.mems_range = need(i);
@@ -239,24 +241,22 @@ options parse_args(int argc, char** argv) {
         if (next == "-" || next[0] != '-') opt.serve = argv[++i];
       }
     }
-    else if (arg == "--listen") opt.serve_flags.listen = need(i);
-    else if (arg == "--max-conns") opt.serve_flags.max_conns = integer(i, 1, INT_MAX);
-    else if (arg == "--serve-queue") opt.serve_flags.serve_queue = integer(i, 1, INT_MAX);
-    else if (arg == "--serve-ordered") opt.serve_flags.serve_ordered = true;
-    else if (arg == "--out") opt.out_file = need(i);
-    else if (arg == "--cache-mb") opt.serve_flags.cache_mb = integer(i, 0, INT_MAX);
-    else if (arg == "--cache-dir") opt.serve_flags.cache_dir = need(i);
-    else if (arg == "--disk-cache-mb") opt.serve_flags.disk_cache_mb = integer(i, 0, INT_MAX);
-    else if (arg == "--serve-compact") opt.serve_flags.serve_compact = true;
-    else if (arg == "--arena") {
-      opt.serve_flags.arena = need(i);
+    else if (arg == "--listen") {
       try {
-        opt.arena = sv::parse_arena_flag(opt.serve_flags.arena) ? ss::arena_mode::on
-                                                                : ss::arena_mode::off;
+        opt.listen = sv::listen_spec::parse(need(i));
       } catch (const softsched::precondition_error& e) {
-        throw usage_error(e.what());
+        throw usage_error(e.what()); // the message starts "--listen:"
       }
     }
+    else if (arg == "--max-conns") opt.server.max_connections = integer(i, 1, INT_MAX);
+    else if (arg == "--serve-queue") opt.service.queue_capacity = integer(i, 1, INT_MAX);
+    else if (arg == "--serve-ordered") opt.server.connection.ordered = true;
+    else if (arg == "--out") opt.out_file = need(i);
+    else if (arg == "--cache-mb") opt.service.cache_bytes = megabytes(integer(i, 0, INT_MAX));
+    else if (arg == "--cache-dir") opt.service.cache_dir = need(i);
+    else if (arg == "--disk-cache-mb")
+      opt.service.disk_cache_bytes = megabytes(integer(i, 0, INT_MAX));
+    else if (arg == "--serve-compact") opt.service.emit_schedule = false;
     else if (arg == "--gantt") opt.gantt = true;
     else if (arg == "--stats") { opt.stats = true; opt.live_flag = arg; }
     else if (arg == "--registers") opt.registers = true;
@@ -267,18 +267,19 @@ options parse_args(int argc, char** argv) {
   const int inputs = static_cast<int>(!opt.bench.empty()) +
                      static_cast<int>(!opt.dfg_file.empty()) +
                      static_cast<int>(!opt.beh_file.empty());
+  const bool socket = opt.listen.kind != sv::listen_spec::transport::stdio;
+  if (!opt.serve_batch.empty() && opt.serve_mode)
+    throw usage_error("--serve (resident daemon) and --serve-batch (one-shot "
+                      "batch) are mutually exclusive");
+  if (socket && !opt.serve_mode) throw usage_error("--listen requires --serve");
   if (!opt.serve_batch.empty() || opt.serve_mode) {
-    if (!opt.serve_batch.empty() && opt.serve_mode)
-      throw usage_error("--serve (resident daemon) and --serve-batch (one-shot "
-                        "batch) are mutually exclusive");
     if (inputs != 0)
       throw usage_error("--serve/--serve-batch read designs from their requests, "
                         "not from --bench/--dfg/--beh");
-    if (opt.serve_flags.listen != "stdio" && opt.serve != "-")
+    if (socket && opt.serve != "-")
       throw usage_error("--listen tcp:/unix: serves socket clients; it cannot "
                         "also read a --serve request file");
-  } else if (opt.serve_flags.listen != "stdio") {
-    throw usage_error("--listen requires --serve");
+    opt.service.faults = sv::fault_plan::from_env(); // SOFTSCHED_INJECT (docs/SERVING.md)
   } else if (inputs != 1) {
     throw usage_error("exactly one of --bench/--dfg/--beh is required");
   }
@@ -335,7 +336,7 @@ int run_compare(const options& opt, const si::resource_library& lib,
   // One context for the whole table: the repeat run below recycles the
   // first run's arena blocks, so comparison mode also witnesses that reuse
   // does not change an outcome.
-  ss::run_context ctx(opt.arena);
+  ss::run_context ctx;
   const ss::run_request request{design, lib, resources, opt.run_options};
   for (const ss::scheduler_backend* backend : ss::registered_backends()) {
     const ss::backend_outcome outcome = backend->run(request, ctx);
@@ -395,11 +396,10 @@ int run_explore(const options& opt) {
                                spec.iter_budget, 0, ss::sdc_iter_max_budget);
 
   se::exploration_options eopt;
-  eopt.jobs = opt.serve_flags.jobs;
+  eopt.jobs = opt.service.jobs;
   eopt.meta = opt.run_options.meta;
   eopt.backends = parse_backend_list(opt.backend);
   eopt.iter_budget = opt.run_options.iter_budget;
-  eopt.arena = opt.arena == ss::arena_mode::on;
 
   const se::exploration_result result = se::run_exploration(spec, eopt);
   std::cout << "design-space exploration: " << spec.design.name() << ", "
@@ -439,13 +439,13 @@ int run_explore(const options& opt) {
 // modes (and grepped by CI and the docs/SERVING.md warm-restart example).
 void report_disk_tier(const sv::service_stats& s) {
   if (!s.disk_enabled) return;
-  std::cerr << "serve: disk tier: " << s.disk_hits << " disk hits, " << s.disk_misses
-            << " disk misses, " << s.disk_writes << " writes, " << s.disk_flushed
-            << " flushed, " << s.disk_evictions << " evictions, " << s.disk_corrupt_dropped
-            << " corrupt dropped, " << s.disk_io_errors << " io errors; recovered "
-            << s.disk_recovered_entries << " entries in " << s.disk_recovery_scan_ms
-            << " ms; " << s.disk_entries << " entries, " << s.disk_bytes << " bytes"
-            << (s.disk_degraded ? "; DEGRADED (RAM-only)" : "") << "\n";
+  const sv::disk_cache_counters& d = s.disk;
+  std::cerr << "serve: disk tier: " << d.hits << " disk hits, " << d.misses
+            << " disk misses, " << d.writes << " writes, " << d.flushed << " flushed, "
+            << d.evictions << " evictions, " << d.corrupt_dropped << " corrupt dropped, "
+            << d.io_errors << " io errors; recovered " << d.recovered_entries
+            << " entries in " << d.recovery_scan_ms << " ms; " << d.entries << " entries, "
+            << d.bytes << " bytes" << (d.degraded ? "; DEGRADED (RAM-only)" : "") << "\n";
 }
 
 // A "<file|->" argument: "-" or empty selects `standard` (stdin/stdout),
@@ -462,15 +462,12 @@ Standard& file_or_std(const std::string& spec, File& file, Standard& standard) {
 // session of the service; cache and dedup summary on stderr (stdout stays
 // machine-readable).
 int run_serve(const options& opt) {
-  // One validation path for every serving flag (serve/options.h); the
-  // error messages tests pin live there, not here.
-  const sv::daemon_options dopt = sv::daemon_options_from_flags(opt.serve_flags);
   std::ifstream in_file;
   std::istream& in = file_or_std(opt.serve_batch, in_file, std::cin);
   std::ofstream out_file;
   std::ostream& out = file_or_std(opt.out_file, out_file, std::cout);
 
-  sv::service svc(dopt.service);
+  sv::service svc(opt.service);
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t requests = sv::serve_batch(in, out, svc);
   const double wall_ms =
@@ -495,72 +492,55 @@ int run_serve(const options& opt) {
   return 0;
 }
 
-// The daemon session summary, shared by the stdio and socket front-ends.
-void report_daemon(std::uint64_t requests, const sv::service_stats& s,
-                   std::size_t queue_capacity, bool shutdown, bool transport_error,
-                   const sv::connection_counters_snapshot& c) {
-  std::cerr << "daemon: " << requests << " requests (" << s.admitted
-            << " admitted, " << s.overloaded << " shed), " << s.computed
-            << " scheduled, " << s.cache_hits << " cache hits, " << s.deduped
-            << " deduped, " << s.errors << " errors (hit rate " << s.hit_rate
-            << ")\n";
+// Resident daemon: framed requests -> framed responses (docs/SERVING.md),
+// session summary on stderr. Every transport is a listener served by one
+// accept loop: stdio is one connection over the --serve input and --out
+// streams, tcp/unix accept clients until one sends {"op":"shutdown"}. A
+// transport error closes its connection only; on stdio that connection is
+// the session, so it also fails the run.
+int serve_daemon(const options& opt) {
+  std::ifstream in_file;
+  std::ofstream out_file;
+  std::ostream* out = nullptr; // stdio only: the response stream
+  std::unique_ptr<sv::listener> accept_from;
+  if (opt.listen.kind == sv::listen_spec::transport::stdio) {
+    std::istream& in = file_or_std(opt.serve, in_file, std::cin);
+    out = &file_or_std(opt.out_file, out_file, std::cout);
+    accept_from = std::make_unique<sv::iostream_listener>(in, *out);
+  } else {
+    accept_from = sv::make_listener(opt.listen);
+    // The one line scripts wait for (and scrape the ephemeral port from).
+    std::cerr << "daemon: listening on " << accept_from->address() << "\n" << std::flush;
+  }
+
+  sv::service svc(opt.service);
+  sv::socket_server server(*accept_from, svc, opt.server);
+  const sv::socket_server_summary summary = server.run();
+  svc.drain();
+  (void)svc.flush_disk();
+  if (out != nullptr) {
+    out->flush();
+    if (!*out) throw softsched::precondition_error("failed to write responses");
+  }
+  const bool failed = out != nullptr && summary.conns.transport_errors > 0;
+  const sv::service_stats s = svc.stats();
+  const sv::connection_counters_snapshot& c = summary.conns;
+  std::cerr << "daemon: " << summary.requests << " requests (" << s.admitted << " admitted, "
+            << s.overloaded << " shed), " << s.computed << " scheduled, " << s.cache_hits
+            << " cache hits, " << s.deduped << " deduped, " << s.errors << " errors (hit rate "
+            << s.hit_rate << ")\n";
   std::cerr << "daemon: " << s.uptime_ms << " ms up, " << s.qps << " qps, p50/p95/p99 "
             << s.p50_ms << "/" << s.p95_ms << "/" << s.p99_ms << " ms, peak queue "
-            << s.peak_queue_depth << "/" << queue_capacity
-            << (shutdown ? ", shutdown" : "")
-            << (transport_error ? ", transport error" : "") << "\n";
+            << s.peak_queue_depth << "/" << opt.service.queue_capacity
+            << (summary.shutdown_requested ? ", shutdown" : "")
+            << (failed ? ", transport error" : "") << "\n";
   std::cerr << "daemon: conns [" << c.transport << "] " << c.accepted << " accepted ("
             << c.shed << " shed, " << c.faulted << " dropped by fault), " << c.active
             << " active, " << c.closed << " closed, " << c.transport_errors
             << " transport errors, " << c.bytes_in << " bytes in, " << c.bytes_out
             << " bytes out\n";
   report_disk_tier(s);
-}
-
-// Resident daemon over a socket listener: accept loop + per-connection
-// serve_connection threads over one shared service; runs until a client
-// sends {"op":"shutdown"}. Per-connection transport errors close that
-// connection only and never fail the process.
-int run_socket_daemon(const sv::daemon_options& dopt, const sv::listen_spec& spec) {
-  sv::service svc(dopt.service);
-  const std::unique_ptr<sv::listener> accept_from = sv::make_listener(spec);
-  // The one line scripts wait for (and scrape the ephemeral port from).
-  std::cerr << "daemon: listening on " << accept_from->address() << "\n" << std::flush;
-
-  sv::socket_server_options sopt;
-  sopt.max_connections = dopt.max_connections;
-  sopt.connection.ordered = dopt.ordered;
-  sv::socket_server server(*accept_from, svc, sopt);
-  const sv::socket_server_summary summary = server.run();
-
-  svc.drain();
-  (void)svc.flush_disk();
-  const sv::service_stats s = svc.stats();
-  report_daemon(summary.requests, s, dopt.service.queue_capacity,
-                summary.shutdown_requested, /*transport_error=*/false, summary.conns);
-  return 0;
-}
-
-// Resident daemon: framed requests -> framed responses (docs/SERVING.md),
-// session summary on stderr.
-int run_daemon_mode(const options& opt) {
-  // One validation path for every serving flag (serve/options.h); the
-  // error messages tests pin live there, not here.
-  const sv::daemon_options dopt = sv::daemon_options_from_flags(opt.serve_flags);
-  const sv::listen_spec spec = sv::listen_from_flags(opt.serve_flags);
-  if (spec.kind != sv::listen_spec::transport::stdio) return run_socket_daemon(dopt, spec);
-  std::ifstream in_file;
-  std::istream& in = file_or_std(opt.serve, in_file, std::cin);
-  std::ofstream out_file;
-  std::ostream& out = file_or_std(opt.out_file, out_file, std::cout);
-
-  const sv::daemon_summary summary = sv::run_daemon(in, out, dopt);
-  out.flush();
-  if (!out) throw softsched::precondition_error("failed to write responses");
-
-  report_daemon(summary.requests, summary.stats, dopt.service.queue_capacity,
-                summary.shutdown_requested, summary.transport_error, summary.conns);
-  return summary.transport_error ? 1 : 0;
+  return failed ? 1 : 0;
 }
 
 // `cache export` / `cache import`: ship a warm disk tier between hosts as
@@ -623,7 +603,7 @@ int run_cache_tool(int argc, char** argv) {
 }
 
 int run(const options& opt) {
-  if (opt.serve_mode) return run_daemon_mode(opt);
+  if (opt.serve_mode) return serve_daemon(opt);
   if (!opt.serve_batch.empty()) return run_serve(opt);
   if (opt.explore) return run_explore(opt);
   const std::vector<std::string> backends = parse_backend_list(opt.backend);
@@ -655,7 +635,7 @@ int run(const options& opt) {
     return run_compare(opt, lib, design, resources);
   }
 
-  ss::run_context ctx(opt.arena);
+  ss::run_context ctx;
   const ss::backend_outcome outcome =
       backend.run({design, lib, resources, opt.run_options}, ctx);
   if (!outcome.feasible) {
