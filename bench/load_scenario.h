@@ -168,9 +168,9 @@ inline checks write_load_scenario(json_writer& j, std::uint64_t seed,
   constexpr int max_attempts = 3;
   rng jitter(seed ^ 0x72657472794c4fULL);
   const auto backoff_after = [&](int attempts_spent) {
-    const double base = std::max(0.1, sopt.retry_after_ms);
     const double factor = static_cast<double>(1 << std::min(attempts_spent - 1, 10));
-    const double ms = base * factor * (0.75 + 0.5 * jitter.uniform());
+    const double ms =
+        serve::shed_retry_after_ms * factor * (0.75 + 0.5 * jitter.uniform());
     return std::chrono::duration_cast<clock_type::duration>(
         std::chrono::duration<double, std::milli>(ms));
   };

@@ -19,13 +19,8 @@ threaded_graph make_hls_state(const ir::dfg& d, const ir::resource_set& resource
   SOFTSCHED_EXPECT(resources.alus >= 0 && resources.multipliers >= 0 &&
                        resources.memory_ports >= 0,
                    "resource counts must be non-negative");
-  for (const ir::resource_class cls :
-       {ir::resource_class::alu, ir::resource_class::multiplier,
-        ir::resource_class::memory_port}) {
-    if (d.count_class(cls) > 0 && resources.count(cls) == 0)
-      throw infeasible_error(d.name() + " needs at least one " +
-                             std::string(ir::class_name(cls)) + " unit");
-  }
+  if (const std::string why = ir::missing_unit_reason(d, resources); !why.empty())
+    throw infeasible_error(why);
   std::vector<int>& tags = tags_scratch;
   tags.clear();
   for (int i = 0; i < resources.alus; ++i)

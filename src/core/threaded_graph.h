@@ -227,7 +227,6 @@ public:
   /// as an escape hatch. Results are identical either way; only cost
   /// differs.
   void set_incremental(bool enabled) noexcept { incremental_ = enabled; }
-  [[nodiscard]] bool incremental() const noexcept { return incremental_; }
 
   /// Cross-validates the current (possibly incrementally maintained)
   /// labels against a forced full label() pass. Returns true iff every

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <utility>
 
 #include "util/check.h"
@@ -53,20 +52,6 @@ bool exploration_result::same_outcome(const exploration_result& other) const {
   for (std::size_t i = 0; i < points.size(); ++i)
     if (!points[i].same_schedule(other.points[i])) return false;
   return true;
-}
-
-point_result run_point(const grid_spec& spec, const design_point& point,
-                       meta::meta_kind meta) {
-  sched::backend_options options;
-  options.meta = meta;
-  return run_point(spec, point, sched::get_backend("soft"), options);
-}
-
-point_result run_point(const grid_spec& spec, const design_point& point,
-                       const sched::scheduler_backend& backend,
-                       const sched::backend_options& options) {
-  sched::run_context ctx(sched::arena_mode::off); // one-shot: skip the block grab
-  return run_point(spec, point, backend, options, ctx);
 }
 
 point_result run_point(const grid_spec& spec, const design_point& point,
@@ -140,20 +125,14 @@ exploration_result run_exploration(const grid_spec& spec,
   {
     // Each job writes only its own pre-allocated slot, so the result vector
     // needs no lock and the outcome no longer depends on completion order.
-    // Per-worker run_contexts ride along: worker i owns slot i, the
-    // submitting thread the extra slot (parallel_for_index runs inline for
-    // a 1-worker pool), and a context never changes a point's values.
+    // Per-worker run_contexts ride along; a context never changes a
+    // point's values.
     thread_pool pool(out.jobs);
-    std::vector<std::unique_ptr<sched::run_context>> contexts;
-    contexts.reserve(out.jobs + 1);
-    for (unsigned c = 0; c <= out.jobs; ++c)
-      contexts.push_back(std::make_unique<sched::run_context>());
+    sched::worker_contexts contexts(out.jobs);
     parallel_for_index(&pool, total, [&](std::size_t i) {
       const std::size_t b = i / points.size();
-      const int worker = thread_pool::current_worker_index();
-      sched::run_context& ctx =
-          *contexts[worker >= 0 ? static_cast<std::size_t>(worker) : out.jobs];
-      out.points[i] = run_point(spec, points[i % points.size()], *backends[b], bopt, ctx);
+      out.points[i] = run_point(spec, points[i % points.size()], *backends[b], bopt,
+                                contexts.local());
     });
   }
   out.wall_ms = millis_since(t0);

@@ -1,6 +1,6 @@
 // dse.h - the design-space exploration engine: fan one design out over a
-// resource/latency grid on the work-stealing thread pool, soft-schedule
-// every point, and reduce the outcomes to an area/latency Pareto frontier.
+// resource/latency grid on the FIFO thread pool, schedule every point, and
+// reduce the outcomes to an area/latency Pareto frontier.
 //
 // Concurrency contract (docs/DESIGN.md §5): a grid point is a share-nothing
 // job. Each job builds its own resource library, its own DFG, and its own
@@ -77,26 +77,16 @@ struct exploration_options {
   long long iter_budget = -1;
 };
 
-/// Schedules one grid point in isolation with the soft scheduler (also the
-/// body each pool job runs). Infeasible allocations - a resource class the
-/// design needs with zero units - come back with feasible = false, not an
-/// exception.
-[[nodiscard]] point_result run_point(const grid_spec& spec, const design_point& point,
-                                     meta::meta_kind meta);
-
-/// Backend-parameterized variant: same isolation contract, any registered
-/// scheduler backend. `ctx` is the calling worker's scratch (the engine
-/// keeps one per pool worker); it never changes the point's values, only
-/// where the run's memory comes from.
+/// Schedules one grid point in isolation with any registered scheduler
+/// backend (the body each pool job runs). Infeasible allocations - a
+/// resource class the design needs with zero units - come back with
+/// feasible = false, not an exception. `ctx` is the calling worker's
+/// scratch (the engine keeps one per pool worker); it never changes the
+/// point's values, only where the run's memory comes from.
 [[nodiscard]] point_result run_point(const grid_spec& spec, const design_point& point,
                                      const sched::scheduler_backend& backend,
                                      const sched::backend_options& options,
                                      sched::run_context& ctx);
-
-/// One-shot variant on a private heap-mode context.
-[[nodiscard]] point_result run_point(const grid_spec& spec, const design_point& point,
-                                     const sched::scheduler_backend& backend,
-                                     const sched::backend_options& options);
 
 /// The engine: enumerate, fan out, reduce.
 [[nodiscard]] exploration_result run_exploration(const grid_spec& spec,

@@ -13,7 +13,6 @@ vertex_id precedence_graph::add_vertex(int delay, std::string name) {
   name_.push_back(std::move(name));
   out_.emplace_back();
   in_.emplace_back();
-  ++revision_;
   return id;
 }
 
@@ -31,7 +30,6 @@ void precedence_graph::add_edge(vertex_id from, vertex_id to) {
   in_[to.value()].push_back(from);
   edge_log_.emplace_back(from, to);
   ++edge_count_;
-  ++revision_;
 }
 
 bool precedence_graph::remove_edge_impl(vertex_id from, vertex_id to) {
@@ -44,7 +42,6 @@ bool precedence_graph::remove_edge_impl(vertex_id from, vertex_id to) {
   auto& in = in_[to.value()];
   in.erase(std::find(in.begin(), in.end(), from));
   --edge_count_;
-  ++revision_;
   return true;
 }
 
@@ -74,7 +71,6 @@ void precedence_graph::set_delay(vertex_id v, int delay) {
   require_vertex(v);
   SOFTSCHED_EXPECT(delay >= 0, "vertex delay must be non-negative");
   delay_[v.value()] = delay;
-  ++revision_;
 }
 
 std::string_view precedence_graph::name(vertex_id v) const {

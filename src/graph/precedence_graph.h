@@ -114,11 +114,6 @@ public:
   /// of this graph.
   void require_vertex(vertex_id v) const;
 
-  /// Monotonically increasing mutation counter. Consumers (e.g. the
-  /// threaded scheduler's transitive-closure cache) use it to detect that
-  /// the graph changed underneath them.
-  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
-
   /// Counter of *non-monotone* structural changes (edge removals that are
   /// not declared reach-preserving). While it stands still, the graph only
   /// grew: incremental consumers may replay the growth instead of
@@ -146,7 +141,6 @@ private:
   std::vector<std::vector<vertex_id>> in_;
   std::vector<std::pair<vertex_id, vertex_id>> edge_log_;
   std::size_t edge_count_ = 0;
-  std::uint64_t revision_ = 0;
   std::uint64_t rebuild_epoch_ = 0;
 };
 

@@ -10,13 +10,8 @@ namespace softsched::hard {
 
 schedule list_schedule(const ir::dfg& d, const ir::resource_set& resources) {
   const auto& g = d.graph();
-  for (const ir::resource_class cls :
-       {ir::resource_class::alu, ir::resource_class::multiplier,
-        ir::resource_class::memory_port}) {
-    if (d.count_class(cls) > 0 && resources.count(cls) == 0)
-      throw infeasible_error(d.name() + " needs at least one " +
-                             std::string(ir::class_name(cls)) + " unit");
-  }
+  if (const std::string why = ir::missing_unit_reason(d, resources); !why.empty())
+    throw infeasible_error(why);
 
   const graph::distance_labels labels = graph::compute_distances(g);
   const std::size_t n = g.vertex_count();

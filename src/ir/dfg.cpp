@@ -49,4 +49,12 @@ std::size_t dfg::count_class(resource_class cls) const {
   return n;
 }
 
+std::string missing_unit_reason(const dfg& d, const resource_set& resources) {
+  for (const resource_class cls :
+       {resource_class::alu, resource_class::multiplier, resource_class::memory_port})
+    if (d.count_class(cls) > 0 && resources.count(cls) == 0)
+      return d.name() + " needs at least one " + std::string(class_name(cls)) + " unit";
+  return {};
+}
+
 } // namespace softsched::ir

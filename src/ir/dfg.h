@@ -65,4 +65,10 @@ private:
   std::vector<op_kind> kinds_;
 };
 
+/// The zero-unit rule every scheduler applies first: "<design> needs at
+/// least one <class> unit" for the first of alu, multiplier and
+/// memory_port that `d` uses and `resources` gives zero units, or an empty
+/// string when no class falls short.
+[[nodiscard]] std::string missing_unit_reason(const dfg& d, const resource_set& resources);
+
 } // namespace softsched::ir

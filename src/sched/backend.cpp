@@ -70,12 +70,8 @@ backend_outcome soft_kernel_run(const run_request& request, run_context& ctx) {
 class soft_backend final : public scheduler_backend {
 public:
   [[nodiscard]] std::string_view name() const noexcept override { return "soft"; }
-  [[nodiscard]] std::string_view description() const noexcept override {
-    return "K-threaded soft scheduler (Algorithm 1, refinable partial order)";
-  }
   [[nodiscard]] backend_caps caps() const noexcept override {
-    return {.binds_units = true, .uses_meta = true, .refinable = true,
-            .time_constrained = false};
+    return {.binds_units = true, .uses_meta = true, .refinable = true};
   }
 
   [[nodiscard]] backend_outcome run(const run_request& request,
@@ -92,12 +88,8 @@ public:
 class list_backend final : public scheduler_backend {
 public:
   [[nodiscard]] std::string_view name() const noexcept override { return "list"; }
-  [[nodiscard]] std::string_view description() const noexcept override {
-    return "resource-constrained list scheduler (critical-path priority)";
-  }
   [[nodiscard]] backend_caps caps() const noexcept override {
-    return {.binds_units = true, .uses_meta = false, .refinable = false,
-            .time_constrained = false};
+    return {.binds_units = true, .uses_meta = false, .refinable = false};
   }
 
   [[nodiscard]] backend_outcome run(const run_request& request,
@@ -118,12 +110,8 @@ public:
 class fds_backend final : public scheduler_backend {
 public:
   [[nodiscard]] std::string_view name() const noexcept override { return "fds"; }
-  [[nodiscard]] std::string_view description() const noexcept override {
-    return "force-directed scheduling (smallest latency budget fitting the allocation)";
-  }
   [[nodiscard]] backend_caps caps() const noexcept override {
-    return {.binds_units = false, .uses_meta = false, .refinable = false,
-            .time_constrained = true};
+    return {.binds_units = false, .uses_meta = false, .refinable = false};
   }
 
   [[nodiscard]] backend_outcome run(const run_request& request,
@@ -136,13 +124,8 @@ public:
     // Same zero-unit screen as the other backends: FDS itself is
     // time-constrained and would happily "fit" an allocation with no units
     // by smearing pressure it never checks against.
-    for (const ir::resource_class cls : contended_classes) {
-      if (d.count_class(cls) > 0 && resources.count(cls) == 0) {
-        r.infeasible_reason = d.name() + " needs at least one " +
-                              std::string(ir::class_name(cls)) + " unit";
-        return r;
-      }
-    }
+    r.infeasible_reason = ir::missing_unit_reason(d, resources);
+    if (!r.infeasible_reason.empty()) return r;
 
     // Lower bounds on any resource-legal latency: the critical path, and
     // per class ceil(total work / units) - FDS cannot beat either, so the
@@ -257,12 +240,8 @@ std::vector<char> extract_critical_set(const ir::dfg& d,
 class sdc_iter_backend final : public scheduler_backend {
 public:
   [[nodiscard]] std::string_view name() const noexcept override { return "sdc-iter"; }
-  [[nodiscard]] std::string_view description() const noexcept override {
-    return "feedback-guided iterative scheduler (critical-subgraph extraction + re-fold)";
-  }
   [[nodiscard]] backend_caps caps() const noexcept override {
-    return {.binds_units = true, .uses_meta = true, .refinable = false,
-            .time_constrained = true, .iterative = true};
+    return {.binds_units = true, .uses_meta = true, .refinable = false, .iterative = true};
   }
 
   /// schedule -> extract -> re-schedule tightened -> fold -> repeat:

@@ -44,11 +44,10 @@ namespace softsched::sched {
 /// What a backend can and cannot do - consumers branch on capabilities,
 /// never on backend names.
 struct backend_caps {
-  bool binds_units = true;  ///< emits a unit index per op (FDS does not)
-  bool uses_meta = false;   ///< consumes the meta feed order (soft, sdc-iter)
-  bool refinable = false;   ///< schedule stays soft / live-refinable
-  bool time_constrained = false; ///< targets an explicit latency (FDS, sdc-iter)
-  bool iterative = false;   ///< re-schedules in a feedback loop; consumes iter_budget
+  bool binds_units = true; ///< emits a unit index per op (FDS does not)
+  bool uses_meta = false;  ///< consumes the meta feed order (soft, sdc-iter)
+  bool refinable = false;  ///< schedule stays soft / live-refinable
+  bool iterative = false;  ///< re-schedules in a feedback loop; consumes iter_budget
 };
 
 /// The uniform scheduling outcome. Infeasible allocations are a reported
@@ -83,7 +82,6 @@ public:
   virtual ~scheduler_backend() = default;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  [[nodiscard]] virtual std::string_view description() const noexcept = 0;
   [[nodiscard]] virtual backend_caps caps() const noexcept = 0;
 
   /// Schedules request.design under request.resources, staging all

@@ -1,5 +1,7 @@
 #include "sched/run_context.h"
 
+#include "util/thread_pool.h"
+
 namespace softsched::sched {
 
 run_context::run_context(arena_mode mode, std::size_t arena_block_bytes)
@@ -29,6 +31,16 @@ void run_context::accumulate(const core::schedule_stats& s) noexcept {
   totals.closure_rebuilds += s.closure_rebuilds;
   totals.closure_syncs += s.closure_syncs;
   totals.closure_rows_touched += s.closure_rows_touched;
+}
+
+worker_contexts::worker_contexts(unsigned workers) {
+  slots_.reserve(workers + 1);
+  for (unsigned i = 0; i <= workers; ++i) slots_.push_back(std::make_unique<run_context>());
+}
+
+run_context& worker_contexts::local() noexcept {
+  const int worker = thread_pool::current_worker_index();
+  return *slots_[worker >= 0 ? static_cast<std::size_t>(worker) : slots_.size() - 1];
 }
 
 } // namespace softsched::sched

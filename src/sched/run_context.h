@@ -123,4 +123,22 @@ private:
   std::uint64_t runs_ = 0;
 };
 
+/// One arena-backed run_context per worker of a thread_pool, plus one for
+/// the threads that are not its workers: worker i
+/// (thread_pool::current_worker_index() == i) owns slot i, any other thread
+/// the extra slot. Picking a slot takes no lock, so the calling thread's
+/// context stays single-threaded as long as at most one non-worker thread
+/// schedules at a time - parallel_for_index runs a 1-worker fan-out on its
+/// caller, and that caller is the one.
+class worker_contexts {
+public:
+  explicit worker_contexts(unsigned workers);
+
+  /// The calling thread's context.
+  [[nodiscard]] run_context& local() noexcept;
+
+private:
+  std::vector<std::unique_ptr<run_context>> slots_; ///< workers + 1
+};
+
 } // namespace softsched::sched

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <functional>
 #include <istream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -154,6 +155,7 @@ service::service(const service_options& options)
       jobs_(options.jobs < 1 ? thread_pool::hardware_workers()
                              : static_cast<unsigned>(options.jobs)),
       cache_(options.cache_bytes, options.cache_shards),
+      contexts_(jobs_),
       started_at_(clock_type::now()) {
   if (options_.queue_capacity < 1) options_.queue_capacity = 1;
   if (!options_.cache_dir.empty() && options_.disk_cache_bytes > 0) {
@@ -164,14 +166,6 @@ service::service(const service_options& options)
     disk_ = std::make_unique<disk_cache>(disk);
   }
   pool_ = std::make_unique<thread_pool>(jobs_);
-  contexts_.reserve(jobs_ + 1);
-  for (unsigned i = 0; i <= jobs_; ++i)
-    contexts_.push_back(std::make_unique<sched::run_context>());
-}
-
-sched::run_context& service::context_for_current_thread() noexcept {
-  const int worker = thread_pool::current_worker_index();
-  return *contexts_[worker >= 0 ? static_cast<std::size_t>(worker) : jobs_];
 }
 
 service::~service() {
@@ -206,7 +200,6 @@ response service::overloaded_response(std::uint64_t seq) const {
   r.line = seq;
   r.id = "line" + std::to_string(seq);
   r.error = "overloaded";
-  r.retry_after_ms = options_.retry_after_ms;
   return r;
 }
 
@@ -387,7 +380,7 @@ void service::process(std::uint64_t seq, const std::string& text, const callback
       } else {
         const auto t0 = clock_type::now();
         f.result = std::make_shared<const schedule_result>(compute_canonical_schedule(
-            req, source.canonical_of, context_for_current_thread()));
+            req, source.canonical_of, contexts_.local()));
         compute_ms = millis_since(t0);
         if (shard_available) cache_.insert(r.key, f.result);
         if (disk_ != nullptr) disk_->enqueue(r.key, f.result); // write-behind
@@ -543,20 +536,59 @@ struct pending_gate {
   void wait() { wait_below(1); }
 };
 
+/// Arms `unwritten` for one response and returns the callback that hands
+/// it to `writer` for release in turn `turn`.
+auto answer_in_turn(const service& svc, std::uint64_t turn, ordered_writer& writer,
+                    pending_gate& unwritten) {
+  unwritten.arm();
+  // After an emit that released nothing, touch nothing: whoever released
+  // this response may already have ended the session.
+  return [&writer, &unwritten, turn,
+          emit_schedule = svc.options().emit_schedule](const response& r) {
+    const std::size_t released = writer.emit(turn, render_response(r, emit_schedule));
+    if (released > 0) unwritten.disarm(released);
+  };
+}
+
 /// Submits one request whose response `writer` releases in turn `turn`;
 /// `unwritten` counts it until that response is on the wire. A shed
 /// request is answered with the overloaded response in its turn.
 void submit_in_turn(service& svc, std::uint64_t seq, std::uint64_t turn, std::string text,
                     ordered_writer& writer, pending_gate& unwritten) {
-  const bool emit_schedule = svc.options().emit_schedule;
-  // After an emit that released nothing, touch nothing: whoever released
-  // this response may already have ended the session.
-  const auto emit = [&writer, &unwritten, turn, emit_schedule](const response& r) {
-    const std::size_t released = writer.emit(turn, render_response(r, emit_schedule));
-    if (released > 0) unwritten.disarm(released);
-  };
-  unwritten.arm();
+  const auto emit = answer_in_turn(svc, turn, writer, unwritten);
   if (!svc.submit(seq, std::move(text), emit)) emit(svc.overloaded_response(seq));
+}
+
+/// std::getline that holds at most `limit` bytes of a line: a longer line
+/// is read to its newline without being kept, and reported by `too_long`
+/// with `text` left empty. Returns false at the end of input.
+bool getline_within(std::istream& in, std::string& text, std::size_t limit,
+                    bool& too_long) {
+  text.clear();
+  too_long = false;
+  bool extracted = false;
+  char chunk[1 << 14];
+  for (;;) {
+    in.getline(chunk, sizeof chunk);
+    if (in.bad()) return false;
+    const auto got = static_cast<std::size_t>(in.gcount());
+    extracted = extracted || got > 0;
+    // getline fails when the chunk filled before a newline, stops without
+    // one at the end of input, and otherwise counted the newline it took.
+    const bool partial = in.fail() && !in.eof();
+    const std::size_t kept = partial || in.eof() ? got : got - 1;
+    // A partial chunk left failbit set; clear it before reading on, or the
+    // next read extracts nothing.
+    if (partial) in.clear(in.rdstate() & ~std::ios::failbit);
+    if (text.size() + kept > limit) {
+      too_long = true;
+      text.clear();
+      if (partial) in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      return true;
+    }
+    text.append(chunk, kept);
+    if (!partial) return extracted;
+  }
 }
 
 } // namespace
@@ -645,7 +677,8 @@ connection_summary serve_connection(byte_stream& stream, service& svc,
   return summary;
 }
 
-std::uint64_t serve_batch(std::istream& in, std::ostream& out, service& svc) {
+std::uint64_t serve_batch(std::istream& in, std::ostream& out, service& svc,
+                          std::uint64_t* rejected) {
   ordered_writer writer(
       [&out](std::string_view p) { return static_cast<bool>(out << p << '\n'); },
       /*order_responses=*/true);
@@ -655,13 +688,25 @@ std::uint64_t serve_batch(std::istream& in, std::ostream& out, service& svc) {
   // than its own callback.
   pending_gate unwritten;
   const std::size_t window = svc.options().queue_capacity;
+  // A line is held under the same bound as a --serve frame.
+  const std::size_t limit = frame_limits{}.max_frame_bytes;
   std::uint64_t turn = 0;
   std::size_t line_no = 0;
-  for (std::string text; std::getline(in, text);) {
+  std::string text;
+  for (bool too_long = false; getline_within(in, text, limit, too_long);) {
     ++line_no;
-    if (text.empty()) continue;
+    if (text.empty() && !too_long) continue;
     unwritten.wait_below(window);
-    submit_in_turn(svc, line_no, ++turn, std::move(text), writer, unwritten);
+    if (too_long) {
+      response r;
+      r.line = line_no;
+      r.id = "line" + std::to_string(line_no);
+      r.error = "request line exceeds the " + std::to_string(limit) + "-byte limit";
+      answer_in_turn(svc, ++turn, writer, unwritten)(r);
+      if (rejected != nullptr) ++*rejected;
+    } else {
+      submit_in_turn(svc, line_no, ++turn, std::move(text), writer, unwritten);
+    }
   }
   unwritten.wait();
   return turn;

@@ -32,7 +32,7 @@
 //   * `serve_batch` - the JSONL front-end behind --serve-batch: one line per
 //     request in, one line per response out, in input order, through the
 //     same reorder buffer. It bounds its own in-flight window by the queue
-//     capacity, so it never sheds.
+//     capacity, so it never sheds, and each line by the frame limit.
 //
 // Fault injection: a fault_plan (usually parsed from the SOFTSCHED_INJECT
 // environment knob) deterministically delays or fails chosen *worker
@@ -96,8 +96,9 @@ struct conn_fault_action {
 /// counting every record read/write attempt): `fail` reports an I/O error
 /// (the disk tier degrades to RAM-only), `torn` makes a write persist only
 /// a prefix while reporting success (the power-loss shape), and `delay_ms`
-/// stalls the operation - under the flusher mutex, which is how the CI
-/// kill-mid-write-behind leg pins its SIGKILL to a deterministic point.
+/// stalls the operation - a write-behind with its record popped but the
+/// disk tier's lock free, which is how the CI kill-mid-write-behind leg
+/// pins its SIGKILL to a deterministic point.
 /// A `conn=<n>` rule targets the Nth connection a socket listener accepts
 /// (1-based, counting shed connections too): `drop` closes it without
 /// reading a byte (the mid-flight client-death shape, server side) and
@@ -127,7 +128,6 @@ struct service_options {
   unsigned cache_shards = 16;
   std::size_t queue_capacity = 256; ///< admitted-but-unfinished bound (>= 1)
   bool emit_schedule = true;        ///< include start/unit arrays in responses
-  double retry_after_ms = 10;       ///< backpressure hint on shed requests
   fault_plan faults;                ///< empty = no injection
 
   // Persistent tier (docs/SERVING.md "Persistence"): enabled iff cache_dir
@@ -166,8 +166,8 @@ public:
   /// it submits from inside a callback.
   [[nodiscard]] bool submit(std::uint64_t seq, std::string text, callback done);
 
-  /// The shed-request response: `"error":"overloaded"` with the
-  /// configured retry_after_ms hint.
+  /// The shed-request response: `"error":"overloaded"`, written with the
+  /// shed_retry_after_ms hint.
   [[nodiscard]] response overloaded_response(std::uint64_t seq) const;
 
   /// Blocks until every admitted request has completed (its callback
@@ -208,16 +208,13 @@ private:
   /// The request's source identity, hashed once per distinct source:
   /// concurrent first asks for one signature wait on the first one's hash.
   [[nodiscard]] source_info lookup_source(const request& req);
-  /// Pool worker i owns contexts_[i]; any non-pool thread the extra slot.
-  [[nodiscard]] sched::run_context& context_for_current_thread() noexcept;
 
   service_options options_;
   unsigned jobs_ = 1;
   schedule_cache cache_;
   std::unique_ptr<disk_cache> disk_; ///< null when the persistent tier is off
   std::unique_ptr<thread_pool> pool_;
-  /// jobs_ + 1 per-worker scheduling contexts (see context_for_current_thread).
-  std::vector<std::unique_ptr<sched::run_context>> contexts_;
+  sched::worker_contexts contexts_; ///< one scheduling context per pool worker
   std::chrono::steady_clock::time_point started_at_;
 
   // Admission + drain bookkeeping. queue_depth_ = admitted requests whose
@@ -302,12 +299,17 @@ connection_summary serve_connection(byte_stream& stream, service& svc,
 /// `svc` under its 1-based line number and writes one response line per
 /// request to `out`, in input order. Blank lines are skipped but still
 /// count toward line numbers; a malformed line answers with an error on
-/// its own line. At most svc.options().queue_capacity requests are
-/// submitted but not yet written at any time, so a session that is the
-/// service's only client is never shed (a service shared with other
-/// clients may still shed a line; it is answered with the overloaded
-/// response in its turn). Returns once every response is written; the
-/// number of requests submitted.
-std::uint64_t serve_batch(std::istream& in, std::ostream& out, service& svc);
+/// its own line. A line longer than frame_limits{}.max_frame_bytes (the
+/// --serve frame bound) is never held whole: it answers "request line
+/// exceeds the <limit>-byte limit" in its turn without reaching `svc`,
+/// adds one to `*rejected` (when given), and the session goes on.
+/// At most svc.options().queue_capacity requests are submitted but not
+/// yet written at any time, so a session that is the service's only
+/// client is never shed (a service shared with other clients may still
+/// shed a line; it is answered with the overloaded response in its turn).
+/// Returns once every response is written; the number of requests
+/// answered.
+std::uint64_t serve_batch(std::istream& in, std::ostream& out, service& svc,
+                          std::uint64_t* rejected = nullptr);
 
 } // namespace softsched::serve

@@ -182,7 +182,6 @@ disk_cache::deserialize_record(std::string_view bytes, const ir::dfg_digest* exp
 
 disk_cache::disk_cache(const disk_cache_options& options) : options_(options) {
   SOFTSCHED_EXPECT(!options_.directory.empty(), "disk cache requires a directory");
-  if (options_.flush_queue_capacity == 0) options_.flush_queue_capacity = 1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     scan_directory();
@@ -366,9 +365,7 @@ disk_cache::result_ptr disk_cache::lookup(const ir::dfg_digest& key) {
     if (missing) {
       // Someone removed the file behind us (partial directory): drop the
       // stale index entry; a vanished record is a plain miss, not an outage.
-      bytes_ -= it->second->bytes;
-      lru_.erase(it->second);
-      index_.erase(it);
+      unindex_locked(key);
     } else {
       ++tally_.io_errors;
       degrade_locked("record read");
@@ -394,7 +391,8 @@ void disk_cache::store(const ir::dfg_digest& key, result_ptr value) {
   store_locked(key, *value);
 }
 
-void disk_cache::store_locked(const ir::dfg_digest& key, const schedule_result& value) {
+void disk_cache::store_locked(const ir::dfg_digest& key, const schedule_result& value,
+                              std::unique_lock<std::mutex>* flusher_lock) {
   const std::string record = serialize_record(key, value);
   if (record.size() > options_.byte_budget) {
     ++tally_.rejected_oversize;
@@ -402,31 +400,33 @@ void disk_cache::store_locked(const ir::dfg_digest& key, const schedule_result& 
   }
   const disk_fault_action fault = next_op_fault();
   const std::string path = path_of(key);
-  if (!write_record_file(path, record, fault)) {
+  // The key leaves the index while its file is written, so no lookup reads
+  // the record half-written - which lets the flusher write off the lock.
+  unindex_locked(key);
+  if (flusher_lock != nullptr) flusher_lock->unlock();
+  const bool written = write_record_file(path, record, fault);
+  if (flusher_lock != nullptr) flusher_lock->lock();
+  // A synchronous store may have indexed the key while the flusher wrote.
+  unindex_locked(key);
+  if (!written) {
     ++tally_.io_errors;
     degrade_locked("record write");
     ::unlink(path.c_str()); // best effort: a partial record would be dead weight
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      bytes_ -= it->second->bytes;
-      lru_.erase(it->second);
-      index_.erase(it);
-    }
     return;
   }
   ++tally_.writes;
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    bytes_ -= it->second->bytes;
-    it->second->bytes = record.size();
-    bytes_ += record.size();
-    lru_.splice(lru_.begin(), lru_, it->second);
-  } else {
-    lru_.push_front({key, record.size()});
-    index_.emplace(key, lru_.begin());
-    bytes_ += record.size();
-  }
+  lru_.push_front({key, record.size()});
+  index_.emplace(key, lru_.begin());
+  bytes_ += record.size();
   evict_to_budget_locked();
+}
+
+void disk_cache::unindex_locked(const ir::dfg_digest& key) {
+  const auto it = index_.find(key);
+  if (it == index_.end()) return;
+  bytes_ -= it->second->bytes;
+  lru_.erase(it->second);
+  index_.erase(it);
 }
 
 void disk_cache::evict_to_budget_locked() {
@@ -438,12 +438,7 @@ void disk_cache::evict_to_budget_locked() {
 }
 
 void disk_cache::drop_record_locked(const ir::dfg_digest& key, bool corrupt) {
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    bytes_ -= it->second->bytes;
-    lru_.erase(it->second);
-    index_.erase(it);
-  }
+  unindex_locked(key);
   if (::unlink(path_of(key).c_str()) != 0 && errno != ENOENT) {
     ++tally_.io_errors;
     degrade_locked("record unlink");
@@ -456,7 +451,7 @@ bool disk_cache::enqueue(const ir::dfg_digest& key, result_ptr value) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (degraded_) return false;
-    if (queue_.size() >= options_.flush_queue_capacity) {
+    if (queue_.size() >= flush_queue_capacity) {
       ++tally_.queue_dropped;
       return false;
     }
@@ -485,10 +480,11 @@ void disk_cache::flusher_main() {
     auto [key, value] = std::move(queue_.front());
     queue_.pop_front();
     writing_ = true;
-    // The record I/O happens under the mutex on purpose: an injected
-    // io=N:delay_ms holds the flusher exactly here, which is what the CI
-    // kill-mid-write-behind leg aims its SIGKILL at.
-    if (!degraded_) store_locked(key, *value);
+    // The record is written off the lock, so enqueues and lookups go on
+    // meanwhile. An injected io=N:delay_ms holds the flusher inside this
+    // write, which is what the CI kill-mid-write-behind leg aims its
+    // SIGKILL at.
+    if (!degraded_) store_locked(key, *value, &lock);
     ++tally_.flushed;
     writing_ = false;
     if (queue_.empty()) flushed_cv_.notify_all();

@@ -31,10 +31,13 @@
 // without bumping the record version reads as corrupt, not as garbage).
 //
 // Concurrency: one mutex serializes index/LRU/counters *and* the record
-// I/O. This tier sits below a RAM miss - the slow path by construction -
-// and holding the lock across the (small) file read/write keeps the
-// index/filesystem agreement trivially correct. The background flusher
-// takes the same mutex per record. Readers in *other processes* share no
+// I/O of lookups and synchronous stores. This tier sits below a RAM miss -
+// the slow path by construction - and holding the lock across the (small)
+// file read/write keeps the index/filesystem agreement trivially correct.
+// The background flusher writes each record off the mutex, so a serving
+// worker's enqueue or lookup never waits on write-behind I/O; a record's
+// key leaves the index while its file is written, so no lookup in this
+// process reads it half-written. Readers in *other processes* share no
 // lock; they are protected by record validation alone (a half-written
 // record reads as corrupt -> miss), which is exactly the crash-tolerance
 // property and is pinned in tests/persist_test.cpp.
@@ -82,7 +85,6 @@ struct disk_fault_plan {
 struct disk_cache_options {
   std::string directory;                  ///< must be non-empty
   std::size_t byte_budget = 256ull << 20; ///< payload+header bytes on disk
-  std::size_t flush_queue_capacity = 256; ///< write-behind bound (>= 1)
   bool sync_writes = false;               ///< fsync each record before success
   disk_fault_plan faults;                 ///< empty = no injection
 };
@@ -146,10 +148,13 @@ public:
   void store(const ir::dfg_digest& key, result_ptr value);
 
   /// Write-behind: enqueue for the background flusher. Returns false (and
-  /// counts queue_dropped) when the bounded queue is full - the RAM tier
-  /// still has the value; losing a write-behind is a future cold miss,
-  /// never an error.
+  /// counts queue_dropped) when flush_queue_capacity records are already
+  /// queued - the RAM tier still has the value; losing a write-behind is
+  /// a future cold miss, never an error.
   bool enqueue(const ir::dfg_digest& key, result_ptr value);
+
+  /// Bound of the write-behind queue.
+  static constexpr std::size_t flush_queue_capacity = 256;
 
   /// Blocks until every currently queued write-behind record is on disk
   /// (or dropped by degradation); returns how many this call drained. The
@@ -208,8 +213,12 @@ private:
   /// (empty action when uninjected).
   disk_fault_action next_op_fault();
   void degrade_locked(const char* what);
-  /// store() body under mutex_ already held.
-  void store_locked(const ir::dfg_digest& key, const schedule_result& value);
+  /// store() body under mutex_ already held. The flusher passes its lock,
+  /// which is released while the record file is written.
+  void store_locked(const ir::dfg_digest& key, const schedule_result& value,
+                    std::unique_lock<std::mutex>* flusher_lock = nullptr);
+  /// Drops the key's index entry and its bytes; its file stays.
+  void unindex_locked(const ir::dfg_digest& key);
   void evict_to_budget_locked();
   void drop_record_locked(const ir::dfg_digest& key, bool corrupt);
   [[nodiscard]] bool write_record_file(const std::string& path, std::string_view bytes,

@@ -94,7 +94,7 @@ void write_response_line(std::ostream& out, const response& r, bool emit_schedul
   j.member("id", r.id);
   if (!r.error.empty()) {
     j.member("error", r.error);
-    if (r.retry_after_ms > 0) j.member("retry_after_ms", r.retry_after_ms);
+    if (r.error == "overloaded") j.member("retry_after_ms", shed_retry_after_ms);
   } else {
     j.member("backend", r.backend);
     j.member("key", r.key.hex());

@@ -35,13 +35,15 @@ struct response {
   schedule_result result;
   double ms = 0;          ///< scheduling latency this request paid (0 when served
                           ///< from cache / dedup)
-  double retry_after_ms = 0; ///< backpressure hint on "overloaded" errors
-                             ///< (admission control); serialized only when
-                             ///< positive
 };
+
+/// The backpressure hint, `"retry_after_ms"`, that every "overloaded"
+/// response and every shed connection's frame carry.
+inline constexpr double shed_retry_after_ms = 10;
 
 /// Serializes one response as a single-line JSON object (no trailing
 /// newline). With emit_schedule off, the start/unit arrays are omitted.
+/// An "overloaded" error carries the shed_retry_after_ms hint.
 void write_response_line(std::ostream& out, const response& r, bool emit_schedule);
 
 /// Canonical identity of one request's *design source*: the digest behind

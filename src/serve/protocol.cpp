@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "serve/engine.h"
 #include "util/json.h"
 #include "util/json_parse.h"
 
@@ -139,13 +140,13 @@ std::string render_stats(const service_stats& s,
   return std::move(oss).str();
 }
 
-std::string render_connection_shed(double retry_after_ms) {
+std::string render_connection_shed() {
   std::ostringstream oss;
   json_writer j(oss, /*compact=*/true);
   j.begin_object();
   j.member("id", "control");
   j.member("error", "too_many_connections");
-  j.member("retry_after_ms", retry_after_ms);
+  j.member("retry_after_ms", shed_retry_after_ms);
   j.end_object();
   return std::move(oss).str();
 }

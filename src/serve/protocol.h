@@ -75,8 +75,9 @@ struct connection_view {
 
 /// The connection-level shed frame a socket listener answers (and then
 /// closes) when --max-conns is reached:
-/// {"id":"control","error":"too_many_connections","retry_after_ms":<hint>}.
-[[nodiscard]] std::string render_connection_shed(double retry_after_ms);
+/// {"id":"control","error":"too_many_connections","retry_after_ms":<hint>},
+/// the hint being shed_retry_after_ms (serve/engine.h).
+[[nodiscard]] std::string render_connection_shed();
 
 /// The shutdown ack, always the final frame of its connection:
 /// {"op":"shutdown","drained":true,"flushed":<n>}.

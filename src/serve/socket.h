@@ -66,8 +66,8 @@ struct listen_spec {
 /// everything" into the server's clean EOF.
 [[nodiscard]] std::unique_ptr<byte_stream> connect_stream(const listen_spec& spec);
 
-/// Connection policy of one socket_server. The connection shed frame's
-/// retry hint is the service's own (service_options::retry_after_ms).
+/// Connection policy of one socket_server. The connection shed frame
+/// carries the service's retry hint (shed_retry_after_ms).
 struct socket_server_options {
   std::size_t max_connections = 64; ///< open connections served at once
   connection_options connection;    ///< forwarded to serve_connection

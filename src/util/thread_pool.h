@@ -1,7 +1,6 @@
-// thread_pool.h - a small work-stealing thread pool for coarse-grained,
-// independent jobs (one design-space-exploration point each). This is the
-// first concurrency layer in the repository, so the contract is deliberately
-// narrow:
+// thread_pool.h - a small FIFO thread pool for coarse-grained, independent
+// jobs (one design-space-exploration point or one served request each).
+// The contract is deliberately narrow:
 //
 //   * Jobs are fire-and-forget closures; results travel through whatever
 //     storage the closure captures (the DSE engine gives every job its own
@@ -13,18 +12,14 @@
 //     rethrows it on the submitting thread.
 //   * Determinism is the *caller's* property: the pool promises only that
 //     every submitted job runs exactly once (or is explicitly cancelled),
-//     never that jobs run in submission order. Callers that want identical
-//     results for any worker count must make jobs independent - see
-//     docs/DESIGN.md §5.
+//     never that jobs finish in submission order. Callers that want
+//     identical results for any worker count must make jobs independent -
+//     see docs/DESIGN.md §5.
 //
-// Topology: one deque per worker. submit() deals jobs round-robin across
-// the deques; a worker pops from the front of its own deque and, when
-// empty, steals from the back of a sibling's - so an unlucky distribution
-// rebalances itself. Queue operations are serialized under one pool mutex
-// (see the locking note in thread_pool.cpp): jobs are milliseconds-coarse,
-// queue ops are nanoseconds, and the single lock makes claim/cancel
-// accounting exact - the stealing *policy* and the API would not change if
-// the lock were later sharded per lane.
+// Topology: one FIFO queue under one mutex. submit() appends, an idle
+// worker claims the front. Jobs are milliseconds-coarse and queue
+// operations nanoseconds, so the single lock costs nothing measurable and
+// keeps the claim/cancel accounting exact (see thread_pool.cpp).
 #pragma once
 
 #include <condition_variable>
@@ -32,7 +27,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -75,32 +69,23 @@ public:
 
   /// Index of the pool worker the calling thread is, or -1 on any thread
   /// that is not a pool worker (including the thread that owns the pool).
-  /// This is how per-worker scratch (sched::run_context) is picked without
-  /// a lock: worker i owns slot i, non-workers own the extra slot.
+  /// This is how per-worker scratch (sched::worker_contexts) is picked
+  /// without a lock: worker i owns slot i, non-workers own the extra slot.
   [[nodiscard]] static int current_worker_index() noexcept;
 
 private:
-  // One lane per worker. Workers pop their own lane's front; thieves take
-  // a victim's back. Guarded by state_mutex_.
-  struct lane {
-    std::deque<job> jobs;
-  };
+  void worker_main(unsigned index);
 
-  bool try_pop(std::size_t self, job& out);
-
-  void worker_main(std::size_t self);
-
-  std::vector<std::unique_ptr<lane>> lanes_;
   std::vector<std::thread> workers_;
 
-  // Sleep/wake + lifecycle. outstanding_ counts submitted-but-unfinished
-  // jobs (pending + in flight); guarded by state_mutex_ so wait_idle() and
+  // Queue + lifecycle, all guarded by state_mutex_. outstanding_ counts
+  // submitted-but-unfinished jobs (queued + in flight), so wait_idle() and
   // the workers agree on "idle".
   std::mutex state_mutex_;
   std::condition_variable work_available_;
   std::condition_variable idle_;
+  std::deque<job> queue_;
   std::size_t outstanding_ = 0;
-  std::size_t next_lane_ = 0;
   bool stopping_ = false;
   std::exception_ptr first_error_;
 };

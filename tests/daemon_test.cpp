@@ -399,15 +399,13 @@ TEST(ServeService, SubmitFromInsideTheCallbackIsAdmittedAtCapacityOne) {
 TEST(ServeService, OverloadedResponseCarriesRetryAfterHint) {
   sv::service_options opt;
   opt.jobs = 1;
-  opt.retry_after_ms = 25;
   sv::service svc(opt);
   const sv::response shed = svc.overloaded_response(9);
   EXPECT_EQ(shed.error, "overloaded");
   EXPECT_EQ(shed.line, 9u);
-  EXPECT_DOUBLE_EQ(shed.retry_after_ms, 25);
   const std::string wire = render(shed);
   EXPECT_NE(wire.find("\"error\":\"overloaded\""), std::string::npos) << wire;
-  EXPECT_NE(wire.find("\"retry_after_ms\":25"), std::string::npos) << wire;
+  EXPECT_NE(wire.find("\"retry_after_ms\":10"), std::string::npos) << wire;
   // Ordinary responses never carry the hint.
   EXPECT_EQ(render(sv::response{}).find("retry_after_ms"), std::string::npos);
 }
@@ -739,6 +737,49 @@ TEST(ServeBatch, NarrowQueueNeverShedsAndAnswersInInputOrder) {
   EXPECT_LE(s.peak_queue_depth, 2u);
 }
 
+TEST(ServeBatch, OverlongLineIsAnsweredInTurnAndTheSessionGoesOn) {
+  // Two over-long lines between valid requests: one byte over the --serve
+  // frame bound, and 1 MiB over it (the read crosses the bound well before
+  // the newline, and the rest is discarded unread). Each is answered in
+  // its turn under its default id, never reaches the service and counts
+  // as rejected; the lines after them keep their numbers. A line exactly
+  // at the bound still reaches the service (and fails as JSON there).
+  const std::size_t limit = sv::frame_limits{}.max_frame_bytes;
+  sv::service_options opt;
+  opt.jobs = 2;
+  sv::service svc(opt);
+  std::istringstream in(R"({"id":"a","bench":"fig1"})"
+                        "\n" +
+                        std::string(limit + 1, '7') + "\n" + R"({"id":"b","bench":"fig1"})" +
+                        "\n" + std::string(limit + (1u << 20), '7') + "\n" +
+                        R"({"id":"c","bench":"fig1"})" + "\n" + std::string(limit, '7') + "\n");
+  std::ostringstream text;
+  std::uint64_t rejected = 0;
+  EXPECT_EQ(sv::serve_batch(in, text, svc, &rejected), 6u);
+  EXPECT_EQ(rejected, 2u);
+  svc.drain();
+  std::vector<std::string> out;
+  std::istringstream split(text.str());
+  for (std::string l; std::getline(split, l);) out.push_back(l);
+  ASSERT_EQ(out.size(), 6u);
+  const std::vector<json_value> docs = batch_session::parsed(out);
+  for (const std::size_t i : {0u, 2u, 4u}) {
+    EXPECT_EQ(docs[i].find("line")->as_integer(1, 10), static_cast<long long>(i + 1));
+    EXPECT_EQ(docs[i].find("id")->as_string(), std::string(1, static_cast<char>('a' + i / 2)));
+    EXPECT_TRUE(docs[i].find("feasible")->as_bool());
+  }
+  for (const std::size_t i : {1u, 3u}) {
+    EXPECT_EQ(docs[i].find("line")->as_integer(1, 10), static_cast<long long>(i + 1));
+    EXPECT_EQ(docs[i].find("id")->as_string(), "line" + std::to_string(i + 1));
+    EXPECT_EQ(docs[i].find("error")->as_string(),
+              "request line exceeds the 8388608-byte limit");
+  }
+  EXPECT_EQ(docs[5].find("line")->as_integer(1, 10), 6);
+  ASSERT_NE(docs[5].find("error"), nullptr);
+  EXPECT_NE(docs[5].find("error")->as_string(), docs[1].find("error")->as_string());
+  EXPECT_EQ(svc.stats().submitted, 4u);
+}
+
 TEST(ServeDaemon, StatsControlFrameReportsLiveCounters) {
   sv::service_options sopt;
   sopt.jobs = 1;
@@ -843,7 +884,6 @@ TEST(ServeDaemon, OverloadShedsWithOverloadedFramesInOrder) {
   sv::service_options sopt;
   sopt.jobs = 1;
   sopt.queue_capacity = 1;
-  sopt.retry_after_ms = 5;
   sopt.faults = sv::fault_plan::parse("slot=0:delay_ms=10");
   sv::socket_server_options opt;
   opt.connection.ordered = true;
@@ -862,7 +902,7 @@ TEST(ServeDaemon, OverloadShedsWithOverloadedFramesInOrder) {
     if (const json_value* e = v.find("error");
         e != nullptr && e->is_string() && e->as_string() == "overloaded") {
       ++shed;
-      EXPECT_NE(payloads[i].find("\"retry_after_ms\":5"), std::string::npos);
+      EXPECT_NE(payloads[i].find("\"retry_after_ms\":10"), std::string::npos);
     }
   }
   EXPECT_EQ(shed, stats.overloaded);
@@ -1154,7 +1194,6 @@ TEST(SocketDaemon, ConnectionLimitShedsBeyondMaxConns) {
   // conn=1 stalls before its first read while holding the only slot - the
   // deterministic pin for the shed boundary.
   sopt.faults = sv::fault_plan::parse("conn=1:stall_ms=250");
-  sopt.retry_after_ms = 7; // the connection shed frame carries the service's hint
   sv::socket_server_options opt;
   opt.max_connections = 1;
   socket_daemon daemon(spec, sopt, opt);
@@ -1165,10 +1204,10 @@ TEST(SocketDaemon, ConnectionLimitShedsBeyondMaxConns) {
   // The connection beyond the bound: one framed shed answer, then close.
   const sv::frame_read shed = sv::read_frame(*second);
   ASSERT_EQ(shed.status, sv::frame_status::ok) << shed.error;
-  EXPECT_EQ(shed.payload, sv::render_connection_shed(7));
+  EXPECT_EQ(shed.payload, sv::render_connection_shed());
   const json_value v = parse_json(shed.payload);
   EXPECT_EQ(v.find("error")->as_string(), "too_many_connections");
-  EXPECT_EQ(v.find("retry_after_ms")->as_number(), 7);
+  EXPECT_EQ(v.find("retry_after_ms")->as_number(), 10);
   EXPECT_EQ(sv::read_frame(*second).status, sv::frame_status::eof);
   // The stalled connection is degraded, not broken: it still serves.
   const std::vector<std::string> served =

@@ -119,20 +119,6 @@ TEST(PrecedenceGraph, SourcesAndSinks) {
   EXPECT_EQ(g.name(sinks[0]), "7");
 }
 
-TEST(PrecedenceGraph, RevisionAdvancesOnMutation) {
-  sg::precedence_graph g;
-  const auto r0 = g.revision();
-  const vertex_id a = g.add_vertex(1);
-  const vertex_id b = g.add_vertex(1);
-  EXPECT_GT(g.revision(), r0);
-  const auto r1 = g.revision();
-  g.add_edge(a, b);
-  EXPECT_GT(g.revision(), r1);
-  const auto r2 = g.revision();
-  g.remove_edge(a, b);
-  EXPECT_GT(g.revision(), r2);
-}
-
 TEST(Distances, Figure1DiameterIsFive) {
   const sg::precedence_graph g = figure1_graph();
   const sg::distance_labels labels = sg::compute_distances(g);

@@ -304,18 +304,23 @@ TEST_F(persist_fixture, EnqueueFlushPersistsAndSurvivesReopen) {
 
 TEST_F(persist_fixture, FullQueueShedsInsteadOfBlocking) {
   sv::disk_cache_options o = options();
-  o.flush_queue_capacity = 2;
-  // Pin the flusher on the first record so the queue genuinely fills.
-  o.faults.ops[1] = sv::disk_fault_action{60.0, false, false};
+  // Pin the flusher on the first record so the queue genuinely fills. The
+  // pinned write holds no lock, so the burst never waits behind it.
+  o.faults.ops[1] = sv::disk_fault_action{250.0, false, false};
   sv::disk_cache cache(o);
+  const auto value = std::make_shared<const sv::schedule_result>(sample_result(0));
+  const std::uint64_t capacity = sv::disk_cache::flush_queue_capacity;
+  const std::uint64_t burst = 4 * capacity;
   std::uint64_t accepted = 0;
-  for (std::uint64_t i = 0; i < 16; ++i)
-    if (cache.enqueue(key_of(50 + i), std::make_shared<const sv::schedule_result>(sample_result(i))))
-      ++accepted;
-  EXPECT_LT(accepted, 16u);
+  for (std::uint64_t i = 0; i < burst; ++i)
+    if (cache.enqueue(key_of(50 + i), value)) ++accepted;
+  // The queue takes `capacity` records, and one more if the flusher popped
+  // the pinned record during the burst.
+  EXPECT_GE(accepted, capacity);
+  EXPECT_LE(accepted, capacity + 1);
   (void)cache.flush();
   const sv::disk_cache_counters c = cache.counters();
-  EXPECT_EQ(c.queue_dropped, 16u - accepted);
+  EXPECT_EQ(c.queue_dropped, burst - accepted);
   EXPECT_EQ(c.flushed, accepted);
 }
 

@@ -102,7 +102,6 @@ TEST(SchedRegistry, CapabilityFlags) {
   EXPECT_TRUE(soft.binds_units);
   EXPECT_TRUE(soft.uses_meta);
   EXPECT_TRUE(soft.refinable);
-  EXPECT_FALSE(soft.time_constrained);
 
   const ss::backend_caps list = ss::get_backend("list").caps();
   EXPECT_TRUE(list.binds_units);
@@ -111,7 +110,6 @@ TEST(SchedRegistry, CapabilityFlags) {
 
   const ss::backend_caps fds = ss::get_backend("fds").caps();
   EXPECT_FALSE(fds.binds_units);
-  EXPECT_TRUE(fds.time_constrained);
   EXPECT_FALSE(fds.iterative);
 
   // sdc-iter is the first backend to set `iterative`; it consumes the meta
@@ -119,7 +117,6 @@ TEST(SchedRegistry, CapabilityFlags) {
   const ss::backend_caps iter = ss::get_backend("sdc-iter").caps();
   EXPECT_TRUE(iter.binds_units);
   EXPECT_TRUE(iter.uses_meta);
-  EXPECT_TRUE(iter.time_constrained);
   EXPECT_TRUE(iter.iterative);
   EXPECT_FALSE(iter.refinable);
   for (const ss::scheduler_backend* b : ss::registered_backends())

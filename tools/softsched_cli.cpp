@@ -469,7 +469,8 @@ int run_serve(const options& opt) {
 
   sv::service svc(opt.service);
   const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t requests = sv::serve_batch(in, out, svc);
+  std::uint64_t rejected = 0; // over-long lines, answered without reaching svc
+  const std::uint64_t requests = sv::serve_batch(in, out, svc, &rejected);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   // Flush before checking: a write failure (disk full) surfacing only at
@@ -483,7 +484,8 @@ int run_serve(const options& opt) {
   const sv::cache_counters cc = svc.cache().counters();
   std::cerr << "serve: " << requests << " requests on " << svc.jobs() << " jobs: "
             << s.computed << " scheduled, " << s.cache_hits << " cache hits, " << s.deduped
-            << " deduped, " << s.errors << " errors (hit rate " << s.hit_rate << ")\n";
+            << " deduped, " << s.errors + rejected << " errors (hit rate " << s.hit_rate
+            << ")\n";
   std::cerr << "serve: " << wall_ms << " ms, "
             << (wall_ms > 0 ? static_cast<double>(requests) / (wall_ms / 1e3) : 0.0)
             << " requests/sec; cache " << cc.entries << " entries, " << cc.bytes
@@ -605,7 +607,15 @@ int run_cache_tool(int argc, char** argv) {
 int run(const options& opt) {
   if (opt.serve_mode) return serve_daemon(opt);
   if (!opt.serve_batch.empty()) return run_serve(opt);
-  if (opt.explore) return run_explore(opt);
+  if (opt.explore) {
+    // The sweep searches each point's FDS budget and keeps no live state,
+    // so these would be dropped without a word.
+    if (opt.run_options.fds_latency > 0)
+      throw usage_error("--latency does not apply to --explore");
+    if (!opt.live_flag.empty())
+      throw usage_error(opt.live_flag + " does not apply to --explore");
+    return run_explore(opt);
+  }
   const std::vector<std::string> backends = parse_backend_list(opt.backend);
   const bool compare = opt.compare || opt.backend == "all";
   const ss::scheduler_backend& backend = ss::get_backend(backends.front());
