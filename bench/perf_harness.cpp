@@ -10,7 +10,8 @@
 //                         region relabeling counters against what full
 //                         relabeling would have written (the empirical
 //                         Theorem-3 check: label work per commit stays far
-//                         below the state size);
+//                         below the state size) and the wall time's
+//                         scaling exponent in |V|;
 //   * refinement storms - sustained random rewires/ECOs against a live
 //                         schedule, run twice: incremental maintenance on
 //                         (the soft-scheduling hot path) vs. the
@@ -44,6 +45,7 @@
 #include <iostream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend_scenario.h"
@@ -132,19 +134,40 @@ sb::checks run_paper_benchmarks(json_writer& j, bool quick) {
 
 // -- scenario 2: random DAG sweep ------------------------------------------
 
+/// Each size is scheduled `reps` times and reports its best run (the
+/// counters repeat exactly, which the block checks). The reps interleave
+/// the sizes, so a stretch of host noise lands on every size rather than
+/// on the runs of one. scaling_exponent is the log-log slope of the best
+/// wall time between the two largest sizes. A uniformly slower host scales
+/// both times alike, so it cannot move the slope; a pass over the whole
+/// state in every select() can. With K ~ sqrt(V) threads, the scan over K
+/// threads of V/K positions makes the sweep O(V^2), while a per-select
+/// walk of the O(K * V) slot graph makes it O(V^2.5).
 sb::checks run_random_dag_sweep(json_writer& j, bool quick, std::uint64_t seed) {
   std::vector<int> sizes{100, 300, 1000};
   if (!quick) {
     sizes.push_back(3000);
     sizes.push_back(10000);
   }
+  constexpr int reps = 3;
 
-  j.begin_array();
+  struct point {
+    sg::precedence_graph g;
+    std::vector<vertex_id> order;
+    int threads = 0;
+    double ms = 0;
+    long long diameter = 0;
+    // Label writes a full label() pass would have done at every commit
+    // (state node count at that moment): the denominator of the
+    // sub-linearity claim.
+    std::uint64_t full_relabel_equiv = 0;
+    sc::schedule_stats stats = {};
+  };
+  std::vector<point> points;
   for (const int n : sizes) {
     rng rand(seed + static_cast<std::uint64_t>(n));
-    const sg::precedence_graph g =
-        sg::layered_random(sg::layered_for_size(n, 0.15), rand);
-    const std::vector<vertex_id> order = sm::meta_schedule(g, sm::meta_kind::list_priority);
+    sg::precedence_graph g = sg::layered_random(sg::layered_for_size(n, 0.15), rand);
+    std::vector<vertex_id> order = sm::meta_schedule(g, sm::meta_kind::list_priority);
     // Unit count scales with design size (a 10k-op design does not run on
     // the same 8 FUs as a 100-op one). This is also where the dirty-region
     // cone is provably sub-linear: each append relabels ~|thread| = V/K
@@ -152,42 +175,66 @@ sb::checks run_random_dag_sweep(json_writer& j, bool quick, std::uint64_t seed) 
     // so with K ~ sqrt(V) the per-commit cone is O(sqrt(V)) against the
     // O(V) a full label() pass writes.
     const int threads = std::max(4, static_cast<int>(std::sqrt(static_cast<double>(n)) / 2));
+    points.push_back(point{.g = std::move(g), .order = std::move(order), .threads = threads});
+  }
 
-    sc::threaded_graph state(g, threads);
-    // full_relabel_equiv: label writes a full label() pass would have done
-    // at every commit (state node count at that moment) - the denominator
-    // of the sub-linearity claim.
-    std::uint64_t full_relabel_equiv = 0;
-    const auto t0 = clock_type::now();
-    for (const vertex_id v : order) {
-      state.schedule(v);
-      full_relabel_equiv += state.scheduled_count() +
-                            2 * static_cast<std::uint64_t>(state.thread_count());
+  bool deterministic = true;
+  for (int rep = 0; rep < reps; ++rep) {
+    for (point& p : points) {
+      sc::threaded_graph state(p.g, p.threads);
+      std::uint64_t relabel_equiv = 0;
+      const auto t0 = clock_type::now();
+      for (const vertex_id v : p.order) {
+        state.schedule(v);
+        relabel_equiv += state.scheduled_count() +
+                         2 * static_cast<std::uint64_t>(state.thread_count());
+      }
+      const double ms = millis_since(t0);
+      if (rep == 0 || ms < p.ms) p.ms = ms;
+      if (rep > 0)
+        deterministic = deterministic && state.stats() == p.stats &&
+                        state.diameter() == p.diameter &&
+                        relabel_equiv == p.full_relabel_equiv;
+      p.stats = state.stats();
+      p.diameter = state.diameter();
+      p.full_relabel_equiv = relabel_equiv;
     }
-    const double ms = millis_since(t0);
-    const sc::schedule_stats& stats = state.stats();
-    const double commits = static_cast<double>(stats.commits ? stats.commits : 1);
+  }
 
+  j.begin_object();
+  j.key("sizes");
+  j.begin_array();
+  for (const point& p : points) {
+    const double commits = static_cast<double>(p.stats.commits ? p.stats.commits : 1);
     j.begin_object();
-    j.member("vertices", g.vertex_count());
-    j.member("edges", g.edge_count());
-    j.member("threads", threads);
-    j.member("wall_ms", ms);
+    j.member("vertices", p.g.vertex_count());
+    j.member("edges", p.g.edge_count());
+    j.member("threads", p.threads);
+    j.member("reps", reps);
+    j.member("wall_ms", p.ms);
     j.member("ops_per_sec",
-             ms > 0 ? static_cast<double>(g.vertex_count()) / (ms / 1e3) : 0.0);
-    j.member("diameter", state.diameter());
-    j.member("nodes_relabeled", stats.nodes_relabeled);
-    j.member("full_relabel_equiv", full_relabel_equiv);
+             p.ms > 0 ? static_cast<double>(p.g.vertex_count()) / (p.ms / 1e3) : 0.0);
+    j.member("diameter", p.diameter);
+    j.member("nodes_relabeled", p.stats.nodes_relabeled);
+    j.member("full_relabel_equiv", p.full_relabel_equiv);
     j.member("avg_relabeled_per_commit",
-             static_cast<double>(stats.nodes_relabeled) / commits);
+             static_cast<double>(p.stats.nodes_relabeled) / commits);
     j.member("avg_state_size_per_commit",
-             static_cast<double>(full_relabel_equiv) / commits);
+             static_cast<double>(p.full_relabel_equiv) / commits);
     j.key("stats");
-    write_stats(j, stats);
+    write_stats(j, p.stats);
     j.end_object();
   }
   j.end_array();
-  return {}; // an array block carries no checks
+  const point& small = points[points.size() - 2];
+  const point& large = points.back();
+  const double exponent =
+      std::log(large.ms / small.ms) /
+      std::log(static_cast<double>(large.g.vertex_count()) /
+               static_cast<double>(small.g.vertex_count()));
+  j.member("scaling_exponent", exponent);
+  return sb::end_block(j, {{"deterministic", deterministic},
+                           {"exponent_measured", std::isfinite(exponent)}});
 }
 
 // -- scenario 3a: generic refinement storm ---------------------------------
@@ -467,8 +514,12 @@ int main(int argc, char** argv) {
   const std::vector<block> blocks = {
       {"paper_benchmarks", "paper benchmarks",
        [&](json_writer& j) { return run_paper_benchmarks(j, quick); }},
+      // The sweep's log-log slope between its two largest sizes: a fixed
+      // limit of 2.2, between the O(V^2) sweep of per-thread cuts (about
+      // 1.95) and the O(V^2.5) one of a per-select cone walk (about 2.5).
       {"random_dag_sweep", "random DAG sweep",
-       [&](json_writer& j) { return run_random_dag_sweep(j, quick, seed); }},
+       [&](json_writer& j) { return run_random_dag_sweep(j, quick, seed); },
+       {lower("scaling_exponent", 1, 2.2)}},
       {"refinement_storm", "refinement storm (generic core)",
        [&](json_writer& j) {
          return write_storm(j, [&](bool inc) {

@@ -12,9 +12,10 @@ namespace {
 constexpr std::int32_t no_node = -1;
 
 /// SOFTSCHED_PARANOID in the environment turns every incremental closure
-/// sync and dirty-region relabel into a self-checking one that
-/// cross-validates against the from-scratch computation and throws on
-/// divergence. Meant for tests and bug triage, not production runs.
+/// sync, dirty-region relabel and select()'s legality cuts into
+/// self-checking ones that cross-validate against the from-scratch
+/// computation (the cone BFS, for the cuts) and throw on divergence.
+/// Meant for tests and bug triage, not production runs.
 bool paranoid_checks_enabled() {
   static const bool enabled = std::getenv("SOFTSCHED_PARANOID") != nullptr;
   return enabled;
@@ -42,12 +43,13 @@ threaded_graph::threaded_graph(const precedence_graph& g, std::span<const int> t
       node_index_(util::arena_allocator<std::int32_t>(arena)),
       scratch_topo_(util::arena_allocator<std::int32_t>(arena)),
       scratch_degree_(util::arena_allocator<std::int32_t>(arena)),
-      scratch_succ_reach_(util::arena_allocator<std::uint8_t>(arena)),
-      scratch_pred_reach_(util::arena_allocator<std::uint8_t>(arena)),
       scratch_queue_(util::arena_allocator<std::int32_t>(arena)),
       scratch_queued_(util::arena_allocator<std::uint8_t>(arena)),
       scratch_latest_pred_(util::arena_allocator<std::int32_t>(arena)),
       scratch_earliest_succ_(util::arena_allocator<std::int32_t>(arena)),
+      scratch_pred_cut_(util::arena_allocator<std::int32_t>(arena)),
+      scratch_succ_cut_(util::arena_allocator<std::int32_t>(arena)),
+      scratch_frontier_(util::arena_allocator<std::int32_t>(arena)),
       scratch_seen_(util::arena_allocator<std::uint8_t>(arena)),
       scratch_bfs_(util::arena_allocator<std::int32_t>(arena)),
       scratch_labels_(
@@ -57,6 +59,7 @@ threaded_graph::threaded_graph(const precedence_graph& g, std::span<const int> t
   k_ = static_cast<int>(thread_tags_.size());
   s_.resize(static_cast<std::size_t>(k_));
   t_.resize(static_cast<std::size_t>(k_));
+  size_per_thread_scratch();
   // Algorithm 1 constructor (lines 14-21): per thread one source sentinel s[k]
   // linked to one sink sentinel t[k]. Sentinels have zero delay and never
   // carry cross edges.
@@ -148,9 +151,18 @@ int threaded_graph::add_thread(int tag) {
   in_slot(t, k) = s;
   s_.push_back(s);
   t_.push_back(t);
+  size_per_thread_scratch();
   // The fresh sentinels are born with their exact labels (sdist = tdist = 0
   // on an empty thread) and nothing else moves, so labels_valid_ survives.
   return k;
+}
+
+void threaded_graph::size_per_thread_scratch() {
+  // resize() grows geometrically, so a session adding wire threads one by
+  // one leaves O(K) dead arena bytes behind, not O(K^2).
+  for (auto* per_thread : {&scratch_latest_pred_, &scratch_earliest_succ_, &scratch_pred_cut_,
+                           &scratch_succ_cut_, &scratch_frontier_})
+    per_thread->resize(static_cast<std::size_t>(k_), no_node);
 }
 
 void threaded_graph::refresh_closure() {
@@ -332,16 +344,6 @@ void threaded_graph::compute_legality_and_intrinsics(vertex_id v, long long& int
                                                      long long& intrinsic_snk) {
   label();
   const std::size_t count = nodes_.size();
-  if (scratch_succ_reach_.size() < count) {
-    scratch_succ_reach_.resize(count, 0);
-    scratch_pred_reach_.resize(count, 0);
-  }
-  if (++reach_epoch_ == 0) { // epoch wrapped: every stale stamp could alias
-    std::fill(scratch_succ_reach_.begin(), scratch_succ_reach_.end(), 0u);
-    std::fill(scratch_pred_reach_.begin(), scratch_pred_reach_.end(), 0u);
-    reach_epoch_ = 1;
-  }
-  const std::uint32_t epoch = reach_epoch_;
   intrinsic_src = 0;
   intrinsic_snk = 0;
   // Seeds: scheduled transitive successors/predecessors of v in G
@@ -351,8 +353,8 @@ void threaded_graph::compute_legality_and_intrinsics(vertex_id v, long long& int
   // and sdist/tdist are monotone along it, so the extremes also carry the
   // intrinsic distances. Two closure bit tests per scheduled node; both
   // hit v's own row or the node's row head, which stay cached.
-  scratch_latest_pred_.assign(static_cast<std::size_t>(k_), no_node);
-  scratch_earliest_succ_.assign(static_cast<std::size_t>(k_), no_node);
+  std::fill(scratch_latest_pred_.begin(), scratch_latest_pred_.end(), no_node);
+  std::fill(scratch_earliest_succ_.begin(), scratch_earliest_succ_.end(), no_node);
   for (std::size_t n = 0; n < count; ++n) {
     const vertex_id gv = nodes_[n].gv;
     if (!gv.valid()) continue;
@@ -368,49 +370,180 @@ void threaded_graph::compute_legality_and_intrinsics(vertex_id v, long long& int
         scratch_latest_pred_[j] = static_cast<std::int32_t>(n);
     }
   }
-  // succ_reach[n]: some scheduled successor of v reaches n in the state -
-  // the forward closure of the seed set. BFS from the per-thread earliest
-  // seeds is enough: every other seed is downstream of one of them through
-  // its thread chain, so the cones coincide. The mark is monotone, so no
-  // topological order is needed.
-  scratch_queue_.clear();
-  for (int j = 0; j < k_; ++j) {
-    const std::int32_t n = scratch_earliest_succ_[static_cast<std::size_t>(j)];
-    if (n == no_node) continue;
-    intrinsic_snk = std::max(intrinsic_snk, nodes_[static_cast<std::size_t>(n)].tdist);
-    scratch_succ_reach_[static_cast<std::size_t>(n)] = epoch;
-    scratch_queue_.push_back(n);
-  }
-  for (std::size_t head = 0; head < scratch_queue_.size(); ++head) {
-    const std::int32_t u = scratch_queue_[head];
-    for (int k = 0; k < k_; ++k) {
-      const std::int32_t w = out_slot(u, k);
-      if (w == no_node || scratch_succ_reach_[static_cast<std::size_t>(w)] == epoch)
-        continue;
-      scratch_succ_reach_[static_cast<std::size_t>(w)] = epoch;
-      scratch_queue_.push_back(w);
+  // The cones of the seed sets, one cut per thread: each cone is the
+  // closure of its per-thread extremes (every other seed is implied
+  // through its thread chain).
+  std::copy(s_.begin(), s_.end(), scratch_pred_cut_.begin());
+  std::copy(t_.begin(), t_.end(), scratch_succ_cut_.begin());
+  for (std::size_t j = 0; j < static_cast<std::size_t>(k_); ++j) {
+    if (const std::int32_t p = scratch_latest_pred_[j]; p != no_node) {
+      scratch_pred_cut_[j] = p;
+      intrinsic_src = std::max(intrinsic_src, nodes_[static_cast<std::size_t>(p)].sdist);
+    }
+    if (const std::int32_t x = scratch_earliest_succ_[j]; x != no_node) {
+      scratch_succ_cut_[j] = x;
+      intrinsic_snk = std::max(intrinsic_snk, nodes_[static_cast<std::size_t>(x)].tdist);
     }
   }
-  // pred_reach[n]: n reaches some scheduled predecessor of v in the state -
-  // the backward closure, same BFS along in slots from the per-thread
-  // latest seeds.
-  scratch_queue_.clear();
-  for (int j = 0; j < k_; ++j) {
-    const std::int32_t n = scratch_latest_pred_[static_cast<std::size_t>(j)];
-    if (n == no_node) continue;
-    intrinsic_src = std::max(intrinsic_src, nodes_[static_cast<std::size_t>(n)].sdist);
-    scratch_pred_reach_[static_cast<std::size_t>(n)] = epoch;
-    scratch_queue_.push_back(n);
+  close_cut<true>(scratch_pred_cut_);
+  close_cut<false>(scratch_succ_cut_);
+  if (paranoid_checks_enabled()) {
+    check_cut_against_cone_bfs<true>(scratch_pred_cut_);
+    check_cut_against_cone_bfs<false>(scratch_succ_cut_);
   }
-  for (std::size_t head = 0; head < scratch_queue_.size(); ++head) {
-    const std::int32_t u = scratch_queue_[head];
-    for (int k = 0; k < k_; ++k) {
-      const std::int32_t p = in_slot(u, k);
-      if (p == no_node || scratch_pred_reach_[static_cast<std::size_t>(p)] == epoch)
-        continue;
-      scratch_pred_reach_[static_cast<std::size_t>(p)] = epoch;
-      scratch_queue_.push_back(p);
+}
+
+// The pred cone (Backward) grows from its seeds along in slots, the succ
+// cone along out slots. Both are seen from the thread end the cone grows
+// toward - "home": the source sentinel for the pred cone, the sink
+// sentinel for the succ cone - and depth(n) is n's distance from home in
+// thread order. In every thread the cone holds the nodes from home to the
+// cut (docs/DESIGN.md §1). The cuts come in as the seed extremes (or
+// home): cone members, so a sound lower bound.
+template <bool Backward>
+void threaded_graph::close_cut(util::arena_vector<std::int32_t>& cut) {
+  const auto grow = [this](std::int32_t n, int k) {
+    return Backward ? in_slot(n, k) : out_slot(n, k);
+  };
+  const auto shrink = [this](std::int32_t n, int k) {
+    return Backward ? out_slot(n, k) : in_slot(n, k);
+  };
+  const auto depth = [this](std::int32_t n) {
+    const int rank = nodes_[static_cast<std::size_t>(n)].rank;
+    return Backward ? rank : -rank;
+  };
+  const util::arena_vector<std::int32_t>& home = Backward ? s_ : t_;
+  const util::arena_vector<std::int32_t>& far = Backward ? t_ : s_;
+  auto& frontier = scratch_frontier_;
+  const auto at = [](auto& per_thread, int j) -> auto& {
+    return per_thread[static_cast<std::size_t>(j)];
+  };
+
+  // Inside: walk every cone member once, from each cut toward home, and
+  // deepen the cut of each thread a grow slot lands past. frontier[j] is
+  // the node the walk of thread j has reached. The walk stops once it has
+  // cost more nodes than the cone leaves outside.
+  long long outside = 0;
+  for (int j = 0; j < k_; ++j) {
+    const int members = nodes_[static_cast<std::size_t>(at(t_, j))].rank - 1;
+    outside += members - (depth(at(cut, j)) - depth(at(home, j)));
+  }
+  std::copy(home.begin(), home.end(), frontier.begin());
+  long long walked = 0;
+  bool closed = true;
+  for (int j = 0, idle = 0; closed && idle < k_; j = j + 1 == k_ ? 0 : j + 1) {
+    const std::int32_t stop = at(frontier, j);
+    if (stop == at(cut, j)) {
+      ++idle;
+      continue;
     }
+    idle = 0;
+    at(frontier, j) = at(cut, j);
+    // Only the chain slot of a thread-j node lands in thread j, and it
+    // points home, so cut[j] holds still during this walk.
+    for (std::int32_t n = at(cut, j); n != stop; n = grow(n, j)) {
+      if (++walked > outside) {
+        closed = false;
+        break;
+      }
+      for (int k = 0; k < k_; ++k) {
+        const std::int32_t w = grow(n, k);
+        if (w == no_node || depth(w) <= depth(at(cut, k))) continue;
+        outside -= depth(w) - depth(at(cut, k));
+        at(cut, k) = w;
+      }
+    }
+  }
+  if (closed) return;
+
+  // Outside: settle the remaining nodes from the far end of every thread
+  // toward home. A node is in the cone iff one of its shrink slots (its
+  // own chain slot included) lands in the cone. frontier[j] is the deepest
+  // unsettled node of thread j; every deeper one is settled outside. A
+  // node is decided as soon as one shrink slot lands within a cut (in), or
+  // once all of them land past a frontier (out). A slot landing between a
+  // cut and a frontier blocks the node, and that slot's thread is settled
+  // first: the state is acyclic, so following blockers reaches a decidable
+  // node within K steps. The cuts only ever hold cone members, so every
+  // decision is exact.
+  for (int j = 0; j < k_; ++j) at(frontier, j) = grow(at(far, j), j);
+  const auto settled = [&](int j) { return depth(at(frontier, j)) <= depth(at(cut, j)); };
+  int unsettled = 0;
+  for (int j = -1;;) {
+    if (j < 0 || settled(j)) {
+      while (unsettled < k_ && settled(unsettled)) ++unsettled;
+      if (unsettled == k_) return;
+      j = unsettled;
+    }
+    const std::int32_t n = at(frontier, j);
+    bool in_cone = false;
+    int blocker = -1;
+    for (int k = 0; k < k_ && !in_cone; ++k) {
+      const std::int32_t w = shrink(n, k);
+      if (w == no_node) continue;
+      if (depth(w) <= depth(at(cut, k)))
+        in_cone = true;
+      else if (depth(w) <= depth(at(frontier, k)))
+        blocker = k;
+    }
+    if (in_cone)
+      at(cut, j) = n; // the thread from home to n follows through the chain
+    else if (blocker >= 0)
+      j = blocker;
+    else
+      at(frontier, j) = grow(n, j);
+  }
+}
+
+template <bool Backward>
+void threaded_graph::check_cut_against_cone_bfs(std::span<const std::int32_t> cut) const {
+  const auto grow = [this](std::int32_t n, int k) {
+    return Backward ? in_slot(n, k) : out_slot(n, k);
+  };
+  const auto shrink = [this](std::int32_t n, int k) {
+    return Backward ? out_slot(n, k) : in_slot(n, k);
+  };
+  const util::arena_vector<std::int32_t>& seeds =
+      Backward ? scratch_latest_pred_ : scratch_earliest_succ_;
+  const util::arena_vector<std::int32_t>& home = Backward ? s_ : t_;
+  const util::arena_vector<std::int32_t>& far = Backward ? t_ : s_;
+  auto& seen = scratch_seen_;
+  auto& queue = scratch_bfs_;
+  seen.assign(nodes_.size(), 0);
+  queue.clear();
+  for (const std::int32_t n : seeds) {
+    if (n == no_node) continue;
+    seen[static_cast<std::size_t>(n)] = 1;
+    queue.push_back(n);
+  }
+  while (!queue.empty()) {
+    const std::int32_t u = queue.back();
+    queue.pop_back();
+    for (int k = 0; k < k_; ++k) {
+      const std::int32_t w = grow(u, k);
+      if (w == no_node || seen[static_cast<std::size_t>(w)]) continue;
+      seen[static_cast<std::size_t>(w)] = 1;
+      queue.push_back(w);
+    }
+  }
+  for (std::size_t j = 0; j < static_cast<std::size_t>(k_); ++j) {
+    std::int32_t last = home[j];
+    bool left_cone = false;
+    for (std::int32_t n = shrink(home[j], static_cast<int>(j)); n != far[j];
+         n = shrink(n, static_cast<int>(j))) {
+      if (!seen[static_cast<std::size_t>(n)]) {
+        left_cone = true;
+      } else if (left_cone) {
+        throw graph_error("paranoid: a legality cone is not a prefix or suffix of thread " +
+                          std::to_string(j));
+      } else {
+        last = n;
+      }
+    }
+    if (last != cut[j])
+      throw graph_error(std::string("paranoid: the ") + (Backward ? "pred" : "succ") +
+                        " cut of thread " + std::to_string(j) +
+                        " diverged from the cone BFS");
   }
 }
 
@@ -434,32 +567,37 @@ insert_position threaded_graph::select_impl(vertex_id v) {
   long long best_cost = std::numeric_limits<long long>::max();
   bool any_compatible = false;
 
+  // Dominance prune: sdist is monotone along a thread, so once even the
+  // optimistic bound sdist(cur) + dv + intrinsic_snk reaches the incumbent
+  // cost, no later position in the thread can beat it (and ties never
+  // displace the incumbent - select keeps the first minimum). The chosen
+  // position is exactly the unpruned scan's.
+  const auto pruned = [&](std::int32_t cur) {
+    return nodes_[static_cast<std::size_t>(cur)].sdist + dv + intrinsic_snk >= best_cost;
+  };
+  const auto positions_before = [this](std::int32_t n) {
+    return static_cast<std::uint64_t>(nodes_[static_cast<std::size_t>(n)].rank);
+  };
   for (int k = 0; k < k_; ++k) {
     if (thread_tags_[static_cast<std::size_t>(k)] != vtag) continue;
     any_compatible = true;
-    const std::int32_t tail = t_[static_cast<std::size_t>(k)];
-    for (std::int32_t cur = s_[static_cast<std::size_t>(k)]; cur != tail;
-         cur = out_slot(cur, k)) {
-      // Inserting after a node some scheduled G-successor of v already
-      // reaches would close a cycle; the predicate is monotone along the
-      // thread, so the remaining positions are illegal too.
-      if (scratch_succ_reach_[static_cast<std::size_t>(cur)] == reach_epoch_) {
-        ++stats_.positions_rejected;
-        break;
-      }
-      // Dominance prune: sdist is monotone along the thread, so once even
-      // the optimistic bound sdist(cur) + dv + intrinsic_snk reaches the
-      // incumbent cost, no later position in this thread can beat it (and
-      // ties never displace the incumbent - select keeps the first
-      // minimum). The chosen position is exactly the unpruned scan's.
-      if (nodes_[static_cast<std::size_t>(cur)].sdist + dv + intrinsic_snk >= best_cost)
-        break;
+    // The legal positions of thread k run from the pred cut up to, not
+    // including, the succ cut (docs/DESIGN.md §1). positions_rejected
+    // counts what a scan from the source sentinel would reject: every
+    // position before the pred cut until the prune ends the thread, and
+    // the succ cut itself when the scan gets there.
+    const std::int32_t first = scratch_pred_cut_[static_cast<std::size_t>(k)];
+    const std::int32_t stop = scratch_succ_cut_[static_cast<std::size_t>(k)];
+    if (pruned(first)) { // then it fires before the cut too, from some point on
+      std::int32_t cur = s_[static_cast<std::size_t>(k)];
+      while (!pruned(cur)) cur = out_slot(cur, k);
+      stats_.positions_rejected += positions_before(cur);
+      continue;
+    }
+    stats_.positions_rejected += positions_before(first);
+    std::int32_t cur = first;
+    for (; cur != stop && !pruned(cur); cur = out_slot(cur, k)) {
       const std::int32_t next = out_slot(cur, k);
-      // Symmetric guard: next must not reach a scheduled G-predecessor.
-      if (scratch_pred_reach_[static_cast<std::size_t>(next)] == reach_epoch_) {
-        ++stats_.positions_rejected;
-        continue;
-      }
       ++stats_.positions_scanned;
       // Lemma 5: the distance through v at this position (line 57-59).
       const long long cost =
@@ -470,6 +608,7 @@ insert_position threaded_graph::select_impl(vertex_id v) {
         best_cost = cost;
       }
     }
+    if (cur == stop && stop != t_[static_cast<std::size_t>(k)]) ++stats_.positions_rejected;
   }
   if (!any_compatible)
     throw infeasible_error("no thread is compatible with vertex '" +
@@ -501,14 +640,10 @@ insert_position threaded_graph::select_naive(vertex_id v) const {
   for (int k = 0; k < base.k_; ++k) {
     if (base.thread_tags_[static_cast<std::size_t>(k)] != vtag) continue;
     any_compatible = true;
-    const std::int32_t tail = base.t_[static_cast<std::size_t>(k)];
-    for (std::int32_t cur = base.s_[static_cast<std::size_t>(k)]; cur != tail;
+    // Every legal position: from the pred cut up to the succ cut.
+    for (std::int32_t cur = base.scratch_pred_cut_[static_cast<std::size_t>(k)];
+         cur != base.scratch_succ_cut_[static_cast<std::size_t>(k)];
          cur = base.out_slot(cur, k)) {
-      if (base.scratch_succ_reach_[static_cast<std::size_t>(cur)] == base.reach_epoch_)
-        break;
-      const std::int32_t next = base.out_slot(cur, k);
-      if (base.scratch_pred_reach_[static_cast<std::size_t>(next)] == base.reach_epoch_)
-        continue;
       threaded_graph speculative(base);
       speculative.commit(insert_position{k, cur, 0}, v);
       const long long diam = speculative.diameter();
@@ -623,8 +758,8 @@ void threaded_graph::commit_impl(const insert_position& pos, vertex_id v,
   // change other nodes' thread or rank order); recompute for manual
   // commits, and in from-scratch mode for baseline fidelity.
   if (!trusted_legal || !incremental_) {
-    scratch_latest_pred_.assign(static_cast<std::size_t>(k_), no_node);
-    scratch_earliest_succ_.assign(static_cast<std::size_t>(k_), no_node);
+    std::fill(scratch_latest_pred_.begin(), scratch_latest_pred_.end(), no_node);
+    std::fill(scratch_earliest_succ_.begin(), scratch_earliest_succ_.end(), no_node);
     closure_->for_each_strictly_reachable(v, [&](vertex_id gw) {
       const std::int32_t w = node_of(gw);
       if (w == no_node || w == n) return;
@@ -690,8 +825,10 @@ bool threaded_graph::position_legal(vertex_id v, const insert_position& pos) {
   long long intrinsic_src = 0;
   long long intrinsic_snk = 0;
   compute_legality_and_intrinsics(v, intrinsic_src, intrinsic_snk);
-  return scratch_succ_reach_[static_cast<std::size_t>(pos.after)] != reach_epoch_ &&
-         scratch_pred_reach_[static_cast<std::size_t>(next)] != reach_epoch_;
+  const auto rank = [this](std::int32_t n) { return nodes_[static_cast<std::size_t>(n)].rank; };
+  const auto k = static_cast<std::size_t>(pos.thread);
+  return rank(scratch_pred_cut_[k]) <= rank(pos.after) &&
+         rank(pos.after) < rank(scratch_succ_cut_[k]);
 }
 
 insert_position threaded_graph::position_front(int thread) const {

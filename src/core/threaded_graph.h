@@ -232,8 +232,9 @@ public:
   /// labels against a forced full label() pass. Returns true iff every
   /// sdist/tdist matches. The equivalence tests call this after every
   /// commit; setting the SOFTSCHED_PARANOID environment variable makes
-  /// every commit/closure-sync self-check the same way and throw
-  /// graph_error on divergence.
+  /// every commit/closure-sync self-check the same way (and every select
+  /// check its legality cuts against the cone BFS) and throw graph_error
+  /// on divergence.
   [[nodiscard]] bool labels_match_full_relabel();
 
 private:
@@ -283,16 +284,32 @@ private:
   [[nodiscard]] insert_position select_impl(vertex_id v);
   void commit_impl(const insert_position& pos, vertex_id v, bool trusted_legal);
 
-  /// Seeds + propagates the two legality predicates for inserting v:
-  ///   succ_reach[n]: some scheduled x with v <G x satisfies x <=S n
-  ///   pred_reach[n]: some scheduled p with p <G v satisfies n <=S p
-  /// and the intrinsic source/sink distances of v (Algorithm 1 lines
-  /// 53-54). Fills scratch_succ_reach_/scratch_pred_reach_, plus
-  /// scratch_latest_pred_/scratch_earliest_succ_ (per-thread extremes of
-  /// the seed sets) so a commit_impl immediately following on the same
-  /// state can skip its own closure scan.
+  /// The legality of inserting v, as one cut per thread, and v's intrinsic
+  /// source/sink distances (Algorithm 1 lines 53-54). The nodes n with
+  ///   n <=S p for some scheduled p <G v   (the pred cone)
+  /// form a prefix of every thread, ending at scratch_pred_cut_[j]; the
+  /// nodes n with
+  ///   x <=S n for some scheduled x with v <G x   (the succ cone)
+  /// form a suffix, starting at scratch_succ_cut_[j] (docs/DESIGN.md §1).
+  /// Also fills scratch_latest_pred_/scratch_earliest_succ_ (per-thread
+  /// extremes of the seed sets), so a commit_impl immediately following on
+  /// the same state can skip its own closure scan.
   void compute_legality_and_intrinsics(vertex_id v, long long& intrinsic_src,
                                        long long& intrinsic_snk);
+
+  /// Raises seed cuts to the cuts of the seeds' cone: the pred cone along
+  /// in slots when Backward, else the succ cone along out slots. Walks the
+  /// cone until that costs more than the nodes outside it, then settles
+  /// the rest from outside (docs/DESIGN.md §1).
+  template <bool Backward>
+  void close_cut(util::arena_vector<std::int32_t>& cut);
+
+  /// The SOFTSCHED_PARANOID reference for close_cut: marks the cone node by
+  /// node with a BFS from the seeds, reads each thread's cut off the marks
+  /// and throws graph_error if one differs from `cut` or a cone is not a
+  /// prefix (suffix) of its thread.
+  template <bool Backward>
+  void check_cut_against_cone_bfs(std::span<const std::int32_t> cut) const;
 
   /// Ensures u <=S w holds via a direct cross edge or an implied path,
   /// maintaining the one-slot-per-thread pairing invariant (the Figure 2
@@ -300,6 +317,9 @@ private:
   void ensure_cross_edge(std::int32_t u, std::int32_t w);
 
   void renumber_thread(int k);
+
+  /// Sizes the per-thread scratch arrays to k_ (constructor, add_thread()).
+  void size_per_thread_scratch();
 
   /// Topological order of the current state into scratch_topo_. Throws
   /// graph_error on a cycle.
@@ -332,18 +352,21 @@ private:
   // complexity benchmark).
   util::arena_vector<std::int32_t> scratch_topo_;
   util::arena_vector<std::int32_t> scratch_degree_;
-  // Reach marks are epoch stamps, not booleans: bumping reach_epoch_
-  // invalidates both arrays in O(1), so a select() never pays an O(n)
-  // clear. A mark means "reached" iff it equals the current epoch.
-  util::arena_vector<std::uint32_t> scratch_succ_reach_;
-  util::arena_vector<std::uint32_t> scratch_pred_reach_;
-  std::uint32_t reach_epoch_ = 0;
   util::arena_vector<std::int32_t> scratch_queue_;
   util::arena_vector<std::uint8_t> scratch_queued_;
-  util::arena_vector<std::int32_t> scratch_latest_pred_;   // per thread, see
-  util::arena_vector<std::int32_t> scratch_earliest_succ_; // compute_legality_and_intrinsics
-  // Query scratch (state_precedes / labels_match_full_relabel are logically
-  // const validators; their buffers are cost, not state).
+  // Per thread, sized k_ by size_per_thread_scratch() and overwritten by
+  // every compute_legality_and_intrinsics: the seed extremes, the two
+  // legality cuts (a node of that thread; the source sentinel when the
+  // pred cone misses the thread, the sink sentinel when the succ cone
+  // does) and close_cut's working frontier.
+  util::arena_vector<std::int32_t> scratch_latest_pred_;
+  util::arena_vector<std::int32_t> scratch_earliest_succ_;
+  util::arena_vector<std::int32_t> scratch_pred_cut_;
+  util::arena_vector<std::int32_t> scratch_succ_cut_;
+  util::arena_vector<std::int32_t> scratch_frontier_;
+  // Query scratch (state_precedes, labels_match_full_relabel and the
+  // paranoid cone BFS are logically const validators; their buffers are
+  // cost, not state).
   mutable util::arena_vector<std::uint8_t> scratch_seen_;
   mutable util::arena_vector<std::int32_t> scratch_bfs_;
   util::arena_vector<std::pair<long long, long long>> scratch_labels_;

@@ -29,10 +29,9 @@
 // designs under ASan/UBSan.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
-#include "explore/grid.h"
+#include "fuzz_families.h"
 #include "graph/distances.h"
 #include "hard/schedule.h"
 #include "ir/dfg.h"
@@ -41,40 +40,15 @@
 #include "util/check.h"
 
 namespace ss = softsched::sched;
-namespace se = softsched::explore;
 namespace sh = softsched::hard;
 namespace si = softsched::ir;
 namespace sg = softsched::graph;
 
 namespace {
 
-/// How many random designs the sweep draws. Tier-1 stays small enough for
-/// ctest; the nightly storm sets SOFTSCHED_FUZZ_DESIGNS=1000.
-int fuzz_designs() {
-  if (const char* env = std::getenv("SOFTSCHED_FUZZ_DESIGNS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 24;
-}
-
-struct fuzz_case {
-  std::uint64_t seed;
-  int vertices;
-  double edge_prob;
-};
-
-/// The DFG family: explore's seeded layered random designs (shape from
-/// graph::layered_for_size, kinds from the fixed explore mix), sized and
-/// wired from the case alone - the reproducing tuple rebuilds the graph
-/// exactly.
-si::dfg build_case(const fuzz_case& c, const si::resource_library& lib) {
-  se::design_spec spec;
-  spec.random_vertices = c.vertices;
-  spec.random_edge_prob = c.edge_prob;
-  spec.seed = c.seed;
-  return se::build_design(spec, lib);
-}
+using fuzz_families::build_case;
+using fuzz_families::fuzz_case;
+using fuzz_families::fuzz_cases;
 
 std::string repro(const fuzz_case& c, const si::resource_set& rs) {
   return "repro: seed=" + std::to_string(c.seed) +
@@ -87,24 +61,6 @@ long long serial_bound(const si::dfg& d) {
   long long total = 0;
   for (const sg::vertex_id v : d.graph().vertices()) total += d.graph().delay(v);
   return total;
-}
-
-/// The design sweep: deterministic from the base seed, cycling sizes and
-/// densities so one run covers chains, diamonds and wide layers.
-std::vector<fuzz_case> fuzz_cases() {
-  constexpr int sizes[] = {8, 20, 45, 90, 160};
-  constexpr double probs[] = {0.10, 0.25, 0.45};
-  std::vector<fuzz_case> cases;
-  const int n = fuzz_designs();
-  cases.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    fuzz_case c;
-    c.seed = 0x5eedf00dULL + static_cast<std::uint64_t>(i) * 7919;
-    c.vertices = sizes[i % std::size(sizes)];
-    c.edge_prob = probs[(i / static_cast<int>(std::size(sizes))) % std::size(probs)];
-    cases.push_back(c);
-  }
-  return cases;
 }
 
 /// The allocation grid each design fans out over: starved, tight and

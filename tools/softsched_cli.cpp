@@ -608,12 +608,15 @@ int run(const options& opt) {
   if (opt.serve_mode) return serve_daemon(opt);
   if (!opt.serve_batch.empty()) return run_serve(opt);
   if (opt.explore) {
-    // The sweep searches each point's FDS budget and keeps no live state,
-    // so these would be dropped without a word.
+    // The sweep searches each point's FDS budget and keeps no live state
+    // and no one schedule to print, so these would be dropped without a
+    // word.
     if (opt.run_options.fds_latency > 0)
       throw usage_error("--latency does not apply to --explore");
     if (!opt.live_flag.empty())
       throw usage_error(opt.live_flag + " does not apply to --explore");
+    if (opt.gantt) throw usage_error("--gantt does not apply to --explore");
+    if (opt.registers) throw usage_error("--registers does not apply to --explore");
     return run_explore(opt);
   }
   const std::vector<std::string> backends = parse_backend_list(opt.backend);
