@@ -26,10 +26,14 @@ using softsched::rng;
 
 namespace {
 
+// gtest prints a case's parameter as its raw bytes, and ctest names the
+// case by that text. So the benchmark name is held inline, not as a
+// pointer whose value moves with the binary's string layout, and no field
+// leaves padding.
 struct storm_case {
-  const char* benchmark;
+  char benchmark[8];
   std::uint64_t seed;
-  int steps;
+  std::int64_t steps;
 };
 
 si::dfg make_benchmark(const si::resource_library& lib, const std::string& name) {
