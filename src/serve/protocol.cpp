@@ -18,7 +18,7 @@ control_frame classify_control(std::string_view payload) {
       payload.find("\\u") == std::string_view::npos)
     return frame;
   try {
-    const json_value v = parse_json(std::string(payload));
+    const json_value v = parse_json(payload);
     const json_value* member = v.find("op");
     if (member == nullptr) return frame;
     frame.kind = control_kind::unknown;

@@ -30,9 +30,13 @@ std::string request::source_signature() const {
   // The exact constructor arguments of the design, plus the multiplier
   // latency the library bakes into vertex delays. Text-format designs sign
   // with their raw text: byte-identical text parses to an identical graph.
+  const std::string ml = "#ml" + std::to_string(mul_latency);
   std::string sig;
   if (!dfg_text.empty()) {
-    sig = "dfg:" + dfg_text;
+    // Sized once: the text is the bulk of the key, and growing past it to
+    // append the suffix would copy all of it a second time.
+    sig.reserve(4 + dfg_text.size() + ml.size());
+    sig.append("dfg:").append(dfg_text);
   } else if (!design.bench.empty()) {
     sig = "bench:" + design.bench;
   } else {
@@ -43,7 +47,7 @@ std::string request::source_signature() const {
           std::to_string(design.seed) + ":" +
           std::to_string(std::bit_cast<std::uint64_t>(design.random_edge_prob));
   }
-  sig += "#ml" + std::to_string(mul_latency);
+  sig += ml;
   return sig;
 }
 
@@ -55,20 +59,23 @@ meta::meta_kind parse_request_meta(const std::string& name) {
   }
 }
 
-request parse_request(const json_value& object) {
+request parse_request_line(std::string_view text) {
+  json_value object = parse_json(text);
   if (!object.is_object()) throw json_error("request must be a JSON object");
   request req;
   int sources = 0;
   bool saw_seed = false;
   bool saw_edge_prob = false;
-  for (const auto& [key, value] : object.members()) {
+  // The DOM is consumed: the strings a request keeps (the inline .dfg text
+  // above all) move out of it instead of being copied.
+  for (auto& [key, value] : std::move(object).members()) {
     if (key == "id") {
       if (!value.is_string()) bad_field(key, "must be a string");
-      req.id = value.as_string();
+      req.id = std::move(value).as_string();
     } else if (key == "bench") {
       if (!value.is_string() || value.as_string().empty())
         bad_field(key, "must be a non-empty benchmark name");
-      req.design.bench = value.as_string();
+      req.design.bench = std::move(value).as_string();
       ++sources;
     } else if (key == "random") {
       req.design.random_vertices = integer_field(value, key, 1, 200000);
@@ -76,7 +83,7 @@ request parse_request(const json_value& object) {
     } else if (key == "dfg") {
       if (!value.is_string() || value.as_string().empty())
         bad_field(key, "must be non-empty .dfg text");
-      req.dfg_text = value.as_string();
+      req.dfg_text = std::move(value).as_string();
       ++sources;
     } else if (key == "seed") {
       if (!value.is_number()) bad_field(key, "must be a number");
@@ -135,10 +142,6 @@ request parse_request(const json_value& object) {
     bad_field("iter_budget", "only valid with an iterative backend (backend '" +
                                  req.backend + "' ignores it)");
   return req;
-}
-
-request parse_request_line(std::string_view text) {
-  return parse_request(parse_json(text));
 }
 
 ir::dfg build_request_design(const request& req, const ir::resource_library& library) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "explore/grid.h"
 #include "ir/dfg.h"
@@ -47,12 +48,10 @@ struct request {
   [[nodiscard]] std::string source_signature() const;
 };
 
-/// Parses one request object. Throws json_error with a field-level message
-/// on malformed input: wrong types, out-of-range values, zero or multiple
-/// design sources, unknown keys, or an unknown meta name.
-[[nodiscard]] request parse_request(const json_value& object);
-
-/// Convenience: parse the JSON text of one request line.
+/// Parses the JSON text of one request line. Throws json_error: first on
+/// malformed JSON anywhere in the line (json: offset N: ...), then with a
+/// field-level message on wrong types, out-of-range values, zero or
+/// multiple design sources, unknown keys, or an unknown meta name.
 [[nodiscard]] request parse_request_line(std::string_view text);
 
 /// The request field "meta", through meta::parse_meta_kind's name table

@@ -1,17 +1,41 @@
 #include "util/json.h"
 
-#include <array>
 #include <charconv>
 #include <cmath>
 
 #include "util/check.h"
+#include "util/json_scan.h"
 
 namespace softsched {
 
+namespace {
+
+/// Renders `n` with std::to_chars straight into the tail of `out`, then
+/// trims it: no staging buffer and no copy.
+template <typename Number>
+void append_number(std::string& out, Number n) {
+  constexpr std::size_t room = 32; // the longest double or 64-bit integer fits
+  const std::size_t size = out.size();
+  out.resize(size + room);
+  char* const first = out.data() + size;
+  const auto [end, ec] = std::to_chars(first, first + room, n);
+  SOFTSCHED_EXPECT(ec == std::errc(), "json: number formatting failed");
+  out.resize(static_cast<std::size_t>(end - out.data()));
+}
+
+} // namespace
+
 void json_writer::newline_indent() {
   if (compact_) return;
-  *os_ << '\n';
-  for (std::size_t i = 0; i < stack_.size(); ++i) *os_ << "  ";
+  out_ += '\n';
+  out_.append(2 * open_.size(), ' ');
+}
+
+void json_writer::next_item() {
+  char& top = open_.back();
+  if ((top & has_items) != 0) out_ += ',';
+  top = static_cast<char>(top | has_items);
+  newline_indent();
 }
 
 void json_writer::before_value() {
@@ -19,112 +43,114 @@ void json_writer::before_value() {
     key_pending_ = false;
     return;
   }
-  SOFTSCHED_EXPECT(stack_.empty() ? !wrote_root_ : stack_.back() == frame::array,
+  SOFTSCHED_EXPECT(open_.empty() ? !wrote_root_ : (open_.back() & in_array) != 0,
                    "json: value needs a key inside an object");
-  if (!stack_.empty()) {
-    if (has_items_.back()) *os_ << ',';
-    has_items_.back() = true;
-    newline_indent();
-  }
+  if (!open_.empty()) next_item();
   wrote_root_ = true;
 }
 
-void json_writer::begin_object() {
-  before_value();
-  *os_ << '{';
-  stack_.push_back(frame::object);
-  has_items_.push_back(false);
+void json_writer::after_value() {
+  if (!open_.empty()) return;
+  os_->write(out_.data(), static_cast<std::streamsize>(out_.size()));
+  out_.clear();
 }
+
+void json_writer::open(char bracket, char state) {
+  before_value();
+  out_ += bracket;
+  open_ += state;
+}
+
+void json_writer::close(char bracket) {
+  const bool had_items = (open_.back() & has_items) != 0;
+  open_.pop_back();
+  if (had_items) newline_indent();
+  out_ += bracket;
+  after_value();
+}
+
+void json_writer::begin_object() { open('{', 0); }
 
 void json_writer::end_object() {
-  SOFTSCHED_EXPECT(!stack_.empty() && stack_.back() == frame::object && !key_pending_,
+  SOFTSCHED_EXPECT(!open_.empty() && (open_.back() & in_array) == 0 && !key_pending_,
                    "json: end_object without matching begin_object");
-  const bool had_items = has_items_.back();
-  stack_.pop_back();
-  has_items_.pop_back();
-  if (had_items) newline_indent();
-  *os_ << '}';
+  close('}');
 }
 
-void json_writer::begin_array() {
-  before_value();
-  *os_ << '[';
-  stack_.push_back(frame::array);
-  has_items_.push_back(false);
-}
+void json_writer::begin_array() { open('[', in_array); }
 
 void json_writer::end_array() {
-  SOFTSCHED_EXPECT(!stack_.empty() && stack_.back() == frame::array && !key_pending_,
+  SOFTSCHED_EXPECT(!open_.empty() && (open_.back() & in_array) != 0 && !key_pending_,
                    "json: end_array without matching begin_array");
-  const bool had_items = has_items_.back();
-  stack_.pop_back();
-  has_items_.pop_back();
-  if (had_items) newline_indent();
-  *os_ << ']';
+  close(']');
 }
 
 void json_writer::key(std::string_view name) {
-  SOFTSCHED_EXPECT(!stack_.empty() && stack_.back() == frame::object && !key_pending_,
+  SOFTSCHED_EXPECT(!open_.empty() && (open_.back() & in_array) == 0 && !key_pending_,
                    "json: key outside of an object");
-  if (has_items_.back()) *os_ << ',';
-  has_items_.back() = true;
-  newline_indent();
-  *os_ << '"';
+  next_item();
+  out_ += '"';
   write_escaped(name);
-  *os_ << (compact_ ? "\":" : "\": ");
+  out_ += compact_ ? "\":" : "\": ";
   key_pending_ = true;
 }
 
 void json_writer::write_escaped(std::string_view s) {
-  for (const char c : s) {
+  std::size_t from = 0;
+  while (true) {
+    const std::size_t special = detail::find_json_special(s, from);
+    out_.append(s.data() + from, special - from);
+    if (special == s.size()) return;
+    const char c = s[special];
     switch (c) {
-    case '"': *os_ << "\\\""; break;
-    case '\\': *os_ << "\\\\"; break;
-    case '\n': *os_ << "\\n"; break;
-    case '\r': *os_ << "\\r"; break;
-    case '\t': *os_ << "\\t"; break;
-    default:
-      if (static_cast<unsigned char>(c) < 0x20) {
-        constexpr char hex[] = "0123456789abcdef";
-        *os_ << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-      } else {
-        *os_ << c;
-      }
+    case '"': out_ += "\\\""; break;
+    case '\\': out_ += "\\\\"; break;
+    case '\n': out_ += "\\n"; break;
+    case '\r': out_ += "\\r"; break;
+    case '\t': out_ += "\\t"; break;
+    default: {
+      constexpr char hex[] = "0123456789abcdef";
+      const char escape[] = {'\\', 'u', '0', '0', hex[(c >> 4) & 0xf], hex[c & 0xf]};
+      out_.append(escape, sizeof escape);
     }
+    }
+    from = special + 1;
   }
 }
 
 void json_writer::value(std::string_view s) {
   before_value();
-  *os_ << '"';
+  out_ += '"';
   write_escaped(s);
-  *os_ << '"';
+  out_ += '"';
+  after_value();
 }
 
 void json_writer::value(bool b) {
   before_value();
-  *os_ << (b ? "true" : "false");
+  out_ += b ? "true" : "false";
+  after_value();
 }
 
 void json_writer::value(double d) {
   before_value();
   SOFTSCHED_EXPECT(std::isfinite(d), "json: non-finite number");
-  std::array<char, 32> buf{};
-  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), d);
-  SOFTSCHED_EXPECT(ec == std::errc(), "json: number formatting failed");
-  *os_ << std::string_view(buf.data(), static_cast<std::size_t>(end - buf.data()));
+  append_number(out_, d);
+  after_value();
 }
 
 void json_writer::value(long long i) {
   before_value();
-  *os_ << i;
+  append_number(out_, i);
+  after_value();
 }
 
 void json_writer::value(unsigned long long i) {
   before_value();
-  *os_ << i;
+  append_number(out_, i);
+  after_value();
 }
 
-bool json_writer::done() const noexcept { return wrote_root_ && stack_.empty() && !key_pending_; }
+bool json_writer::done() const noexcept { return wrote_root_ && open_.empty() && !key_pending_; }
 
 } // namespace softsched

@@ -1,19 +1,25 @@
-// json.h - minimal streaming JSON writer for the benchmark harnesses
-// (BENCH_softsched.json). Emits pretty-printed, deterministic output with
-// correct string escaping and comma placement; no DOM, no parsing. The CI
-// smoke job validates the result with an external JSON parser, so the
-// writer enforces well-formedness structurally (keys only inside objects,
-// values only where a value is expected) via precondition checks.
+// json.h - minimal JSON writer for the serve engine's response lines, the
+// daemon's control frames, --explore-out and the benchmark harnesses
+// (BENCH_softsched.json). Emits pretty-printed or compact, deterministic
+// output with correct string escaping and comma placement; no DOM, no
+// parsing. The CI smoke job validates the result with an external JSON
+// parser, so the writer enforces well-formedness structurally (keys only
+// inside objects, values only where a value is expected) via precondition
+// checks.
+//
+// Buffered: the document is built in one std::string (numbers through
+// std::to_chars, strings copied in plain runs between the bytes that need
+// an escape) and written to the ostream in one call, when the root value
+// closes. Nothing reaches the stream before that.
 #pragma once
 
-#include <cstdint>
 #include <ostream>
+#include <string>
 #include <string_view>
-#include <vector>
 
 namespace softsched {
 
-/// Streaming JSON writer. Usage:
+/// JSON writer. Usage:
 ///
 ///   json_writer j(os);
 ///   j.begin_object();
@@ -24,7 +30,7 @@ namespace softsched {
 ///   j.end_object();
 ///
 /// Destruction does not auto-close containers; callers finish what they
-/// open (done() checks).
+/// open (done() checks). A writer left with its root open writes nothing.
 class json_writer {
 public:
   /// `compact` drops all newlines/indentation - one-line output for JSONL
@@ -51,7 +57,7 @@ public:
 
   /// Convenience: key + value in one call.
   template <typename T>
-  void member(std::string_view name, T v) {
+  void member(std::string_view name, const T& v) {
     key(name);
     value(v);
   }
@@ -61,19 +67,24 @@ public:
   [[nodiscard]] bool done() const noexcept;
 
 private:
-  enum class frame : std::uint8_t { object, array };
+  /// The state bits of one open container.
+  static constexpr char in_array = 1;  ///< an array, else an object
+  static constexpr char has_items = 2; ///< the next item needs a comma
 
   void before_value();
+  void after_value(); ///< writes the document out once the root is complete
+  void next_item();   ///< comma (after the first item) and indentation
+  void open(char bracket, char state);
+  void close(char bracket);
+  void newline_indent();
   void write_escaped(std::string_view s);
 
   std::ostream* os_;
   bool compact_ = false;
-  std::vector<frame> stack_;
-  std::vector<bool> has_items_; // parallel to stack_
+  std::string out_;  ///< the document so far
+  std::string open_; ///< one state byte per open container, innermost last
   bool key_pending_ = false;
   bool wrote_root_ = false;
-
-  void newline_indent();
 };
 
 } // namespace softsched

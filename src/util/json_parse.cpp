@@ -2,6 +2,10 @@
 
 #include <charconv>
 #include <cmath>
+#include <functional>
+#include <unordered_set>
+
+#include "util/json_scan.h"
 
 namespace softsched {
 
@@ -9,6 +13,38 @@ namespace {
 
 [[noreturn]] void fail(std::size_t offset, const std::string& message) {
   throw json_error("json: offset " + std::to_string(offset) + ": " + message);
+}
+
+using member_list = std::vector<std::pair<std::string, json_value>>;
+
+/// Hashes and compares member positions by their keys.
+struct key_of {
+  const member_list* members;
+  std::size_t operator()(std::size_t i) const noexcept {
+    return std::hash<std::string>{}((*members)[i].first);
+  }
+  bool operator()(std::size_t a, std::size_t b) const noexcept {
+    return (*members)[a].first == (*members)[b].first;
+  }
+};
+using key_index = std::unordered_set<std::size_t, key_of, key_of>;
+
+/// Up to this many members, a new key is compared with every earlier one.
+/// Past it, `index` holds every member's position, so an object of n
+/// distinct keys costs O(n) to check instead of O(n^2).
+constexpr std::size_t linear_key_limit = 8;
+
+/// True when the last member's key repeats an earlier member's.
+bool repeats_earlier_key(const member_list& members, key_index& index) {
+  const std::size_t last = members.size() - 1;
+  if (last < linear_key_limit) {
+    for (std::size_t i = 0; i < last; ++i)
+      if (members[i].first == members[last].first) return true;
+    return false;
+  }
+  if (index.empty())
+    for (std::size_t i = 0; i < last; ++i) index.insert(i);
+  return !index.insert(last).second;
 }
 
 /// Recursive-descent parser over a string_view with an explicit cursor.
@@ -73,7 +109,8 @@ private:
 
   json_value parse_object(int depth) {
     expect('{');
-    std::vector<std::pair<std::string, json_value>> members;
+    member_list members;
+    key_index index(0, key_of{&members}, key_of{&members});
     skip_ws();
     if (peek() == '}') {
       ++pos_;
@@ -82,12 +119,12 @@ private:
     while (true) {
       skip_ws();
       if (peek() != '"') fail(pos_, "expected string key");
-      std::string key = parse_string();
-      for (const auto& [existing, value] : members)
-        if (existing == key) fail(pos_, "duplicate key '" + key + "'");
+      members.emplace_back(parse_string(), json_value());
+      if (repeats_earlier_key(members, index))
+        fail(pos_, "duplicate key '" + members.back().first + "'");
       skip_ws();
       expect(':');
-      members.emplace_back(std::move(key), parse_value(depth + 1));
+      members.back().second = parse_value(depth + 1);
       skip_ws();
       const char next = peek();
       ++pos_;
@@ -120,14 +157,13 @@ private:
     expect('"');
     std::string out;
     while (true) {
+      const std::size_t special = detail::find_json_special(text_, pos_);
+      out.append(text_.data() + pos_, special - pos_);
+      pos_ = special;
       if (pos_ >= text_.size()) fail(pos_, "unterminated string");
       const char c = text_[pos_++];
       if (c == '"') break;
       if (static_cast<unsigned char>(c) < 0x20) fail(pos_ - 1, "control character in string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
       if (pos_ >= text_.size()) fail(pos_, "unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -242,9 +278,14 @@ double json_value::as_number() const {
   return number_;
 }
 
-const std::string& json_value::as_string() const {
+const std::string& json_value::as_string() const& {
   if (kind_ != kind::string) throw json_error("json: expected a string");
   return string_;
+}
+
+std::string json_value::as_string() && {
+  if (kind_ != kind::string) throw json_error("json: expected a string");
+  return std::move(string_);
 }
 
 long long json_value::as_integer(long long lo, long long hi) const {
@@ -267,9 +308,14 @@ const std::vector<json_value>& json_value::items() const {
   return items_;
 }
 
-const std::vector<std::pair<std::string, json_value>>& json_value::members() const {
+const std::vector<std::pair<std::string, json_value>>& json_value::members() const& {
   if (kind_ != kind::object) throw json_error("json: expected an object");
   return members_;
+}
+
+std::vector<std::pair<std::string, json_value>> json_value::members() && {
+  if (kind_ != kind::object) throw json_error("json: expected an object");
+  return std::move(members_);
 }
 
 const json_value* json_value::find(std::string_view key) const {

@@ -1,12 +1,14 @@
 // serve_test.cpp - the batch scheduling service: sharded LRU cache
 // (budget, eviction order, counters, concurrency), strict request parsing,
-// and the --serve-batch session over the service (identical requests
-// computed once, cache hits, determinism across worker counts and cache
-// sizes, error routing, JSONL round trip).
+// the --serve-batch session over the service (identical requests computed
+// once, cache hits, determinism across worker counts and cache sizes,
+// error routing, JSONL round trip), and the exact bytes of request errors,
+// response lines and control frames.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +18,8 @@
 #include "batch_session.h"
 #include "serve/cache.h"
 #include "serve/daemon.h"
+#include "serve/engine.h"
+#include "serve/protocol.h"
 #include "serve/request.h"
 #include "util/json_parse.h"
 #include "util/thread_pool.h"
@@ -541,4 +545,250 @@ TEST(ScheduleCache, OversizeReplacementKeepsResidentValue) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->latency, 7); // original survives
   EXPECT_EQ(cache.counters().rejected_oversize, 1u);
+}
+
+// -- the bytes on the wire, pinned ------------------------------------------
+
+namespace {
+
+std::string request_error(std::string_view line) {
+  try {
+    (void)sv::parse_request_line(line);
+    return "<ok>";
+  } catch (const json_error& e) {
+    return e.what();
+  }
+}
+
+std::string response_bytes(const sv::response& r, bool emit_schedule) {
+  std::ostringstream oss;
+  sv::write_response_line(oss, r, emit_schedule);
+  return std::move(oss).str();
+}
+
+sv::response feasible_response() {
+  sv::response r;
+  r.line = 7;
+  r.id = "q7";
+  r.backend = "soft";
+  r.key = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  r.result.feasible = true;
+  r.result.ops = 4;
+  r.result.latency = 5;
+  r.result.start_times = {0, 1, 1, 3};
+  r.result.unit_of = {0, 1, 0, 2};
+  r.result.stats = {4, 17, 2, 4, 1, 6, 9, 1, 3, 12};
+  r.ms = 0.1;
+  return r;
+}
+
+constexpr std::uint64_t u64_max = std::numeric_limits<std::uint64_t>::max();
+
+} // namespace
+
+TEST(ServeRequest, DocumentedErrorStringsAreExact) {
+  // docs/SERVING.md "Error strings", through the one request parser. The
+  // whole line is parsed before any field is read, so a syntax error
+  // anywhere wins over a field error before it (the last block).
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"[1]", "request must be a JSON object"},
+      {"\"text\"", "request must be a JSON object"},
+      {"{\"alus\":2}", "request needs exactly one of 'bench' / 'random' / 'dfg'"},
+      {"{\"bench\":\"ewf\",\"random\":5}", "request needs exactly one of 'bench' / 'random' / 'dfg'"},
+      {"{\"bench\":\"ewf\",\"typo\":1}", "unknown request field 'typo'"},
+      {"{\"bench\":\"ewf\",\"id\":1}", "request field 'id': must be a string"},
+      {"{\"bench\":\"ewf\",\"meta\":1}", "request field 'meta': must be a string"},
+      {"{\"bench\":\"ewf\",\"backend\":1}", "request field 'backend': must be a string"},
+      {"{\"bench\":\"\"}", "request field 'bench': must be a non-empty benchmark name"},
+      {"{\"bench\":7}", "request field 'bench': must be a non-empty benchmark name"},
+      {"{\"dfg\":\"\"}", "request field 'dfg': must be non-empty .dfg text"},
+      {"{\"dfg\":null}", "request field 'dfg': must be non-empty .dfg text"},
+      {"{\"random\":5,\"seed\":\"x\"}", "request field 'seed': must be a number"},
+      {"{\"random\":5,\"seed\":-1}", "request field 'seed': must be a non-negative integer <= 2^53"},
+      {"{\"random\":5,\"seed\":1.5}", "request field 'seed': must be a non-negative integer <= 2^53"},
+      {"{\"random\":5,\"seed\":1e300}", "request field 'seed': must be a non-negative integer <= 2^53"},
+      {"{\"bench\":\"ewf\",\"seed\":1}", "request field 'seed': only valid with a 'random' design source"},
+      {"{\"random\":5,\"edge_prob\":\"x\"}", "request field 'edge_prob': must be a number"},
+      {"{\"random\":5,\"edge_prob\":0}", "request field 'edge_prob': must be in (0, 1]"},
+      {"{\"random\":5,\"edge_prob\":1.5}", "request field 'edge_prob': must be in (0, 1]"},
+      {"{\"bench\":\"ewf\",\"edge_prob\":0.5}", "request field 'edge_prob': only valid with a 'random' design source"},
+      {"{\"bench\":\"ewf\",\"alus\":1000001}", "request field 'alus': json: number 1000001.000000 outside [0, 1000000]"},
+      {"{\"bench\":\"ewf\",\"muls\":-1}", "request field 'muls': json: number -1.000000 outside [0, 1000000]"},
+      {"{\"bench\":\"ewf\",\"mems\":2.5}", "request field 'mems': json: expected an integer, got 2.500000"},
+      {"{\"bench\":\"ewf\",\"alus\":\"2\"}", "request field 'alus': json: expected a number"},
+      {"{\"random\":0}", "request field 'random': json: number 0.000000 outside [1, 200000]"},
+      {"{\"random\":200001}", "request field 'random': json: number 200001.000000 outside [1, 200000]"},
+      {"{\"bench\":\"ewf\",\"mul_latency\":65}", "request field 'mul_latency': json: number 65.000000 outside [1, 64]"},
+      {"{\"bench\":\"ewf\",\"mul_latency\":0}", "request field 'mul_latency': json: number 0.000000 outside [1, 64]"},
+      {"{\"bench\":\"ewf\",\"meta\":\"zzz\"}", "request field 'meta': unknown meta schedule 'zzz' (expected dfs|topo|path|list)"},
+      {"{\"bench\":\"ewf\",\"backend\":\"nope\"}", "request field 'backend': unknown scheduler backend 'nope' (expected soft|list|fds|sdc-iter)"},
+      {"{\"bench\":\"ewf\",\"backend\":\"sdc-iter\",\"iter_budget\":2000}", "request field 'iter_budget': json: number 2000.000000 outside [0, 1024]"},
+      {"{\"bench\":\"ewf\",\"iter_budget\":5}", "request field 'iter_budget': only valid with an iterative backend (backend 'soft' ignores it)"},
+      {"{\"bench\":\"ewf\"} x", "json: offset 16: trailing characters after JSON value"},
+      {"{\"bench\":\"ewf", "json: offset 13: unterminated string"},
+      {"{\"bench\":\"ewf\",\"bench\":\"hal\"}", "json: offset 22: duplicate key 'bench'"},
+      {"{\"alus\":\"x\",\"bench\":\"ewf\",}", "json: offset 26: expected string key"},
+      {"{\"typo\":1,\"bench\":\"ewf\"", "json: offset 23: unexpected end of input"},
+      {"{\"id\":5,\"bench\":\"ewf\"} trailing", "json: offset 23: trailing characters after JSON value"},
+      {"{\"bench\":\"ewf\",\"alus\":-1,\"muls\":[1,2,]}", "json: offset 37: invalid number"},
+      {"{\"random\":0,\"dfg\":\"\\q\"}", "json: offset 20: invalid escape"},
+      {"not json", "json: offset 0: invalid literal"},
+      {"{\"bench\":\"ewf\",\"dfg\":\"dfg t\\nop a add\\n\"}", "request needs exactly one of 'bench' / 'random' / 'dfg'"},
+  };
+  for (const auto& [line, expected] : cases) EXPECT_EQ(request_error(line), expected) << line;
+}
+
+TEST(ResponseBytes, ResultErrorAndOverloadedLinesArePinned) {
+  const sv::response feasible = feasible_response();
+  EXPECT_EQ(response_bytes(feasible, true),
+      "{\"line\":7,\"id\":\"q7\",\"backend\":\"soft\",\"key\":\"0123456789abcdeffedcba9876543210\","
+      "\"ops\":4,\"feasible\":true,\"latency\":5,\"start\":[0,1,1,3],\"unit\":[0,1,0,2],\"stats\":"
+      "{\"select_calls\":4,\"positions_scanned\":17,\"commits\":4,\"label_passes\":1,\"cross_edge_updates\":"
+      "6,\"nodes_relabeled\":9,\"closure_rebuilds\":1,\"closure_syncs\":3,\"closure_rows_touched\":"
+      "12},\"ms\":0.1}");
+  EXPECT_EQ(response_bytes(feasible, false),
+      "{\"line\":7,\"id\":\"q7\",\"backend\":\"soft\",\"key\":\"0123456789abcdeffedcba9876543210\","
+      "\"ops\":4,\"feasible\":true,\"latency\":5,\"stats\":{\"select_calls\":4,\"positions_scanned\":"
+      "17,\"commits\":4,\"label_passes\":1,\"cross_edge_updates\":6,\"nodes_relabeled\":9,\"closure_rebuilds\":"
+      "1,\"closure_syncs\":3,\"closure_rows_touched\":12},\"ms\":0.1}");
+
+  sv::response infeasible;
+  infeasible.line = 2;
+  infeasible.id = "line2";
+  infeasible.backend = "list";
+  infeasible.key = {1, 2};
+  infeasible.result.ops = 3;
+  infeasible.result.infeasible_reason = "no functional unit for op 'm1' (kind mul)";
+  infeasible.ms = 1e-7;
+  EXPECT_EQ(response_bytes(infeasible, true),
+      "{\"line\":2,\"id\":\"line2\",\"backend\":\"list\",\"key\":\"00000000000000010000000000000002\","
+      "\"ops\":3,\"feasible\":false,\"infeasible_reason\":\"no functional unit for op 'm1' (kind mul)\","
+      "\"ms\":1e-07}");
+
+  // Every byte class the writer escapes or passes through: quote,
+  // backslash, \n \r \t, other control bytes as \u00XX, DEL and UTF-8 raw.
+  sv::response error;
+  error.line = 9;
+  error.id = "a\"b\\c\nd\re\tf\x01g\x7fh\xc3\xa9\xe2\x82\xac";
+  error.error = "json: offset 3: \"\\\n\r\t\x01\x1f\x7f \xf0\x9f\x98\x80 end";
+  EXPECT_EQ(response_bytes(error, true),
+      "{\"line\":9,\"id\":\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\177h\303\251\342\202\254\",\"error\":"
+      "\"json: offset 3: \\\"\\\\\\n\\r\\t\\u0001\\u001f\177 \360\237\230\200 end\",\"ms\":"
+      "0}");
+
+  sv::response shed;
+  shed.line = 12;
+  shed.id = "shed-1";
+  shed.error = "overloaded";
+  EXPECT_EQ(response_bytes(shed, true),
+      "{\"line\":12,\"id\":\"shed-1\",\"error\":\"overloaded\",\"retry_after_ms\":10,\"ms\":"
+      "0}");
+
+  // Integers at the ends of their types, and ms values whose shortest
+  // round-trip form is exponent or fixed notation.
+  sv::response big = feasible_response();
+  big.result.latency = std::numeric_limits<long long>::max();
+  big.result.start_times = {0, std::numeric_limits<long long>::max(), -1, 1000000007};
+  big.result.unit_of = {std::numeric_limits<int>::max(), 0, -5, 1};
+  big.result.stats = {u64_max,        u64_max - 1, 1ULL << 63, (1ULL << 63) - 1, 0, 10, 99,
+                      100,            1000,        18446744073709551557ULL};
+  big.ms = 1e-7;
+  EXPECT_EQ(response_bytes(big, true),
+      "{\"line\":7,\"id\":\"q7\",\"backend\":\"soft\",\"key\":\"0123456789abcdeffedcba9876543210\","
+      "\"ops\":4,\"feasible\":true,\"latency\":9223372036854775807,\"start\":[0,9223372036854775807,"
+      "-1,1000000007],\"unit\":[2147483647,0,-5,1],\"stats\":{\"select_calls\":18446744073709551615,"
+      "\"positions_scanned\":18446744073709551614,\"commits\":9223372036854775807,\"label_passes\":"
+      "0,\"cross_edge_updates\":10,\"nodes_relabeled\":99,\"closure_rebuilds\":100,\"closure_syncs\":"
+      "1000,\"closure_rows_touched\":18446744073709551557},\"ms\":1e-07}");
+  big.ms = 123456.789;
+  EXPECT_EQ(response_bytes(big, false),
+      "{\"line\":7,\"id\":\"q7\",\"backend\":\"soft\",\"key\":\"0123456789abcdeffedcba9876543210\","
+      "\"ops\":4,\"feasible\":true,\"latency\":9223372036854775807,\"stats\":{\"select_calls\":"
+      "18446744073709551615,\"positions_scanned\":18446744073709551614,\"commits\":9223372036854775807,"
+      "\"label_passes\":0,\"cross_edge_updates\":10,\"nodes_relabeled\":99,\"closure_rebuilds\":"
+      "100,\"closure_syncs\":1000,\"closure_rows_touched\":18446744073709551557},\"ms\":123456.789}");
+}
+
+TEST(ResponseBytes, ControlFramesArePinned) {
+  EXPECT_EQ(sv::render_hello(),
+      "{\"op\":\"hello\",\"v\":1,\"transports\":[\"stdio\",\"tcp\",\"unix\"],\"caps\":[\"hello\","
+      "\"stats\",\"shutdown\",\"ordered\",\"streaming\",\"shed\",\"dedup\",\"disk_cache\"]}");
+  EXPECT_EQ(sv::render_unknown_op({sv::control_kind::unknown, "fr\"ob\\nicate\n"}),
+      "{\"id\":\"control\",\"error\":\"unknown_op\",\"op\":\"fr\\\"ob\\\\nicate\\n\",\"v\":"
+      "1}");
+  EXPECT_EQ(sv::render_unknown_op({sv::control_kind::unknown, ""}),
+      "{\"id\":\"control\",\"error\":\"unknown_op\",\"v\":1}");
+  EXPECT_EQ(sv::render_shutdown_ack(3), R"({"op":"shutdown","drained":true,"flushed":3})");
+  EXPECT_EQ(sv::render_shutdown_ack(0), R"({"op":"shutdown","drained":true,"flushed":0})");
+  EXPECT_EQ(sv::render_connection_shed(),
+            R"({"id":"control","error":"too_many_connections","retry_after_ms":10})");
+
+  sv::service_stats s;
+  s.submitted = u64_max;
+  s.admitted = u64_max - 1;
+  s.overloaded = 1;
+  s.completed = 1ULL << 63;
+  s.errors = 2;
+  s.computed = 3;
+  s.cache_hits = 4;
+  s.deduped = 5;
+  s.queue_depth = 6;
+  s.peak_queue_depth = 7;
+  s.uptime_ms = 1234.5;
+  s.qps = 0.1;
+  s.p50_ms = 1e-7;
+  s.p95_ms = 2.5;
+  s.p99_ms = 1e21;
+  s.hit_rate = 1.0 / 3.0;
+  s.disk_enabled = true;
+  s.disk.hits = 11;
+  s.disk.misses = 12;
+  s.disk.writes = 13;
+  s.disk.evictions = 14;
+  s.disk.corrupt_dropped = 15;
+  s.disk.io_errors = 16;
+  s.disk.queue_dropped = 17;
+  s.disk.flushed = 18;
+  s.disk.entries = 19;
+  s.disk.bytes = 20;
+  s.disk.degraded = true;
+  s.disk.recovery_scan_ms = 0.25;
+  s.disk.recovered_entries = u64_max;
+  sv::connection_counters_snapshot conns;
+  conns.accepted = 21;
+  conns.active = 1;
+  conns.closed = 20;
+  conns.transport_errors = 2;
+  conns.faulted = 1;
+  conns.bytes_in = u64_max;
+  conns.bytes_out = 1ULL << 40;
+  conns.transport = "unix";
+  sv::connection_view self;
+  self.frames = 30;
+  self.requests = 29;
+  self.bytes_in = 4096;
+  self.bytes_out = 8192;
+  self.transport = "unix:/tmp/d \"q\".sock";
+  EXPECT_EQ(sv::render_stats(s, conns, self),
+      "{\"op\":\"stats\",\"v\":1,\"uptime_ms\":1234.5,\"qps\":0.1,\"p50_ms\":1e-07,\"p95_ms\":"
+      "2.5,\"p99_ms\":1e+21,\"queue_depth\":6,\"peak_queue_depth\":7,\"hit_rate\":0.3333333333333333,"
+      "\"submitted\":18446744073709551615,\"admitted\":18446744073709551614,\"overloaded\":"
+      "1,\"completed\":9223372036854775808,\"errors\":2,\"computed\":3,\"cache_hits\":4,\"deduped\":"
+      "5,\"conns\":{\"transport\":\"unix\",\"accepted\":21,\"active\":1,\"shed\":0,\"closed\":"
+      "20,\"transport_errors\":2,\"faulted\":1,\"bytes_in\":18446744073709551615,\"bytes_out\":"
+      "1099511627776},\"conn\":{\"transport\":\"unix:/tmp/d \\\"q\\\".sock\",\"frames\":30,"
+      "\"requests\":29,\"bytes_in\":4096,\"bytes_out\":8192},\"disk\":{\"enabled\":true,\"degraded\":"
+      "true,\"hits\":11,\"misses\":12,\"writes\":13,\"evictions\":14,\"corrupt_dropped\":15,"
+      "\"io_errors\":16,\"queue_dropped\":17,\"flushed\":18,\"entries\":19,\"bytes\":20,\"recovery_scan_ms\":"
+      "0.25,\"recovered_entries\":18446744073709551615}}");
+  EXPECT_EQ(sv::render_stats({}, {}, {}),
+      "{\"op\":\"stats\",\"v\":1,\"uptime_ms\":0,\"qps\":0,\"p50_ms\":0,\"p95_ms\":0,\"p99_ms\":"
+      "0,\"queue_depth\":0,\"peak_queue_depth\":0,\"hit_rate\":0,\"submitted\":0,\"admitted\":"
+      "0,\"overloaded\":0,\"completed\":0,\"errors\":0,\"computed\":0,\"cache_hits\":0,\"deduped\":"
+      "0,\"conns\":{\"transport\":\"\",\"accepted\":0,\"active\":0,\"shed\":0,\"closed\":0,"
+      "\"transport_errors\":0,\"faulted\":0,\"bytes_in\":0,\"bytes_out\":0},\"conn\":{\"transport\":"
+      "\"\",\"frames\":0,\"requests\":0,\"bytes_in\":0,\"bytes_out\":0},\"disk\":{\"enabled\":"
+      "false,\"degraded\":false,\"hits\":0,\"misses\":0,\"writes\":0,\"evictions\":0,\"corrupt_dropped\":"
+      "0,\"io_errors\":0,\"queue_dropped\":0,\"flushed\":0,\"entries\":0,\"bytes\":0,\"recovery_scan_ms\":"
+      "0,\"recovered_entries\":0}}");
 }

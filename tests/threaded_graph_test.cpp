@@ -221,12 +221,14 @@ TEST(ThreadedGraph, RegressionLine59UsesInsertedVertexDelay) {
 // optimality of the fast select against the naive Definition-5 selector.
 // ---------------------------------------------------------------------------
 
+// gtest names each case by the parameter's raw bytes, so the struct has no
+// padding: `threads` fills the last 8 bytes itself.
 struct random_case {
   std::uint64_t seed;
   int layers;
   int width;
   double edge_prob;
-  int threads;
+  std::int64_t threads;
 };
 
 class ThreadedGraphRandom : public ::testing::TestWithParam<random_case> {};
@@ -239,7 +241,7 @@ TEST_P(ThreadedGraphRandom, InvariantsHoldAfterEveryStep) {
   lp.width = param.width;
   lp.edge_prob = param.edge_prob;
   const sg::precedence_graph g = sg::layered_random(lp, rand);
-  sc::threaded_graph state(g, param.threads);
+  sc::threaded_graph state(g, static_cast<int>(param.threads));
 
   // Feed in a random (non-topological!) meta order: the online schedule
   // must stay correct regardless (Definition 3).
@@ -263,7 +265,7 @@ TEST_P(ThreadedGraphRandom, FastSelectMatchesNaiveDiameter) {
   lp.width = param.width;
   lp.edge_prob = param.edge_prob;
   const sg::precedence_graph g = sg::layered_random(lp, rand);
-  sc::threaded_graph state(g, param.threads);
+  sc::threaded_graph state(g, static_cast<int>(param.threads));
 
   std::vector<vertex_id> order = g.vertices();
   rand.shuffle(order);
