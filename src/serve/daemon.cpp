@@ -10,12 +10,10 @@
 #include <map>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "util/check.h"
-#include "util/json.h"
 #include "util/json_parse.h"
 
 namespace softsched::serve {
@@ -449,12 +447,6 @@ service_stats service::stats() const {
 
 namespace {
 
-std::string render_response(const response& r, bool emit_schedule) {
-  std::ostringstream oss;
-  write_response_line(oss, r, emit_schedule);
-  return std::move(oss).str();
-}
-
 /// Writes responses either immediately (streaming) or through a reorder
 /// buffer that releases strictly by turn, 1, 2, 3, ... (input-order mode).
 /// `write` puts one payload on the wire: a frame for the daemon, a line for
@@ -545,7 +537,7 @@ auto answer_in_turn(const service& svc, std::uint64_t turn, ordered_writer& writ
   // this response may already have ended the session.
   return [&writer, &unwritten, turn,
           emit_schedule = svc.options().emit_schedule](const response& r) {
-    const std::size_t released = writer.emit(turn, render_response(r, emit_schedule));
+    const std::size_t released = writer.emit(turn, render_response_line(r, emit_schedule));
     if (released > 0) unwritten.disarm(released);
   };
 }
@@ -617,7 +609,7 @@ connection_summary serve_connection(byte_stream& stream, service& svc,
       response r;
       r.id = "transport";
       r.error = frame.error;
-      writer.control(render_response(r, svc.options().emit_schedule));
+      writer.control(render_response_line(r, svc.options().emit_schedule));
       break;
     }
     ++summary.frames;

@@ -5,7 +5,6 @@
 
 #include "explore/dse.h"
 #include "sched/backend.h"
-#include "util/check.h"
 #include "util/json.h"
 
 namespace softsched::serve {
@@ -87,8 +86,8 @@ ir::dfg_digest schedule_key_for(const request& req, const ir::dfg_digest& digest
                                  req.iter_budget));
 }
 
-void write_response_line(std::ostream& out, const response& r, bool emit_schedule) {
-  json_writer j(out, /*compact=*/true);
+std::string render_response_line(const response& r, bool emit_schedule) {
+  json_writer j(/*compact=*/true);
   j.begin_object();
   j.member("line", r.line);
   j.member("id", r.id);
@@ -120,7 +119,12 @@ void write_response_line(std::ostream& out, const response& r, bool emit_schedul
   }
   j.member("ms", r.ms);
   j.end_object();
-  SOFTSCHED_EXPECT(j.done(), "serve: response serialization left JSON open");
+  return std::move(j).str();
+}
+
+void write_response_line(std::ostream& out, const response& r, bool emit_schedule) {
+  const std::string line = render_response_line(r, emit_schedule);
+  out.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 } // namespace softsched::serve

@@ -44,6 +44,9 @@ inline constexpr double shed_retry_after_ms = 10;
 /// Serializes one response as a single-line JSON object (no trailing
 /// newline). With emit_schedule off, the start/unit arrays are omitted.
 /// An "overloaded" error carries the shed_retry_after_ms hint.
+[[nodiscard]] std::string render_response_line(const response& r, bool emit_schedule);
+
+/// render_response_line, written to `out` in one call.
 void write_response_line(std::ostream& out, const response& r, bool emit_schedule);
 
 /// Canonical identity of one request's *design source*: the digest behind

@@ -1,7 +1,5 @@
 #include "serve/protocol.h"
 
-#include <sstream>
-
 #include "serve/engine.h"
 #include "util/json.h"
 #include "util/json_parse.h"
@@ -36,8 +34,7 @@ control_frame classify_control(std::string_view payload) {
 }
 
 std::string render_hello() {
-  std::ostringstream oss;
-  json_writer j(oss, /*compact=*/true);
+  json_writer j(/*compact=*/true);
   j.begin_object();
   j.member("op", "hello");
   j.member("v", wire_version);
@@ -59,26 +56,24 @@ std::string render_hello() {
   j.value("disk_cache");
   j.end_array();
   j.end_object();
-  return std::move(oss).str();
+  return std::move(j).str();
 }
 
 std::string render_unknown_op(const control_frame& frame) {
-  std::ostringstream oss;
-  json_writer j(oss, /*compact=*/true);
+  json_writer j(/*compact=*/true);
   j.begin_object();
   j.member("id", "control");
   j.member("error", "unknown_op");
   if (!frame.op.empty()) j.member("op", frame.op);
   j.member("v", wire_version);
   j.end_object();
-  return std::move(oss).str();
+  return std::move(j).str();
 }
 
 std::string render_stats(const service_stats& s,
                          const connection_counters_snapshot& conns,
                          const connection_view& conn) {
-  std::ostringstream oss;
-  json_writer j(oss, /*compact=*/true);
+  json_writer j(/*compact=*/true);
   j.begin_object();
   j.member("op", "stats");
   j.member("v", wire_version);
@@ -137,29 +132,27 @@ std::string render_stats(const service_stats& s,
   j.member("recovered_entries", d.recovered_entries);
   j.end_object();
   j.end_object();
-  return std::move(oss).str();
+  return std::move(j).str();
 }
 
 std::string render_connection_shed() {
-  std::ostringstream oss;
-  json_writer j(oss, /*compact=*/true);
+  json_writer j(/*compact=*/true);
   j.begin_object();
   j.member("id", "control");
   j.member("error", "too_many_connections");
   j.member("retry_after_ms", shed_retry_after_ms);
   j.end_object();
-  return std::move(oss).str();
+  return std::move(j).str();
 }
 
 std::string render_shutdown_ack(std::size_t flushed) {
-  std::ostringstream oss;
-  json_writer j(oss, /*compact=*/true);
+  json_writer j(/*compact=*/true);
   j.begin_object();
   j.member("op", "shutdown");
   j.member("drained", true);
   j.member("flushed", flushed);
   j.end_object();
-  return std::move(oss).str();
+  return std::move(j).str();
 }
 
 } // namespace softsched::serve

@@ -50,7 +50,7 @@ void json_writer::before_value() {
 }
 
 void json_writer::after_value() {
-  if (!open_.empty()) return;
+  if (!open_.empty() || os_ == nullptr) return;
   os_->write(out_.data(), static_cast<std::streamsize>(out_.size()));
   out_.clear();
 }
@@ -152,5 +152,10 @@ void json_writer::value(unsigned long long i) {
 }
 
 bool json_writer::done() const noexcept { return wrote_root_ && open_.empty() && !key_pending_; }
+
+std::string json_writer::str() && {
+  SOFTSCHED_EXPECT(os_ == nullptr && done(), "json: str() needs a finished in-memory document");
+  return std::move(out_);
+}
 
 } // namespace softsched

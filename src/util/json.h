@@ -10,7 +10,9 @@
 // Buffered: the document is built in one std::string (numbers through
 // std::to_chars, strings copied in plain runs between the bytes that need
 // an escape) and written to the ostream in one call, when the root value
-// closes. Nothing reaches the stream before that.
+// closes. Nothing reaches the stream before that. A writer built without a
+// stream keeps the document, and std::move(writer).str() hands it over, so
+// a caller that wants a string (the serve frames) copies nothing.
 #pragma once
 
 #include <ostream>
@@ -37,6 +39,9 @@ public:
   /// streams (the serve engine's response lines).
   explicit json_writer(std::ostream& os, bool compact = false)
       : os_(&os), compact_(compact) {}
+
+  /// Keeps the document in memory; take it with str() once done().
+  explicit json_writer(bool compact = false) : compact_(compact) {}
 
   void begin_object();
   void end_object();
@@ -66,6 +71,9 @@ public:
   /// written).
   [[nodiscard]] bool done() const noexcept;
 
+  /// The finished document of a writer built without a stream.
+  [[nodiscard]] std::string str() &&;
+
 private:
   /// The state bits of one open container.
   static constexpr char in_array = 1;  ///< an array, else an object
@@ -79,7 +87,7 @@ private:
   void newline_indent();
   void write_escaped(std::string_view s);
 
-  std::ostream* os_;
+  std::ostream* os_ = nullptr; ///< nullptr: the document stays in out_
   bool compact_ = false;
   std::string out_;  ///< the document so far
   std::string open_; ///< one state byte per open container, innermost last

@@ -2,8 +2,7 @@
 
 #include <charconv>
 #include <cmath>
-#include <functional>
-#include <unordered_set>
+#include <set>
 
 #include "util/json_scan.h"
 
@@ -17,35 +16,17 @@ namespace {
 
 using member_list = std::vector<std::pair<std::string, json_value>>;
 
-/// Hashes and compares member positions by their keys.
-struct key_of {
+/// Orders member positions by their keys. A std::set of positions finds a
+/// repeated key in O(log n) comparisons, whatever the keys are; a hash
+/// index would not, as std::hash<std::string> has a fixed seed and a client
+/// can choose keys that all land in one bucket. A comparison reads at most
+/// the new key's length, so an object costs O(bytes * log n) to check.
+struct key_less {
   const member_list* members;
-  std::size_t operator()(std::size_t i) const noexcept {
-    return std::hash<std::string>{}((*members)[i].first);
-  }
   bool operator()(std::size_t a, std::size_t b) const noexcept {
-    return (*members)[a].first == (*members)[b].first;
+    return (*members)[a].first < (*members)[b].first;
   }
 };
-using key_index = std::unordered_set<std::size_t, key_of, key_of>;
-
-/// Up to this many members, a new key is compared with every earlier one.
-/// Past it, `index` holds every member's position, so an object of n
-/// distinct keys costs O(n) to check instead of O(n^2).
-constexpr std::size_t linear_key_limit = 8;
-
-/// True when the last member's key repeats an earlier member's.
-bool repeats_earlier_key(const member_list& members, key_index& index) {
-  const std::size_t last = members.size() - 1;
-  if (last < linear_key_limit) {
-    for (std::size_t i = 0; i < last; ++i)
-      if (members[i].first == members[last].first) return true;
-    return false;
-  }
-  if (index.empty())
-    for (std::size_t i = 0; i < last; ++i) index.insert(i);
-  return !index.insert(last).second;
-}
 
 /// Recursive-descent parser over a string_view with an explicit cursor.
 class parser {
@@ -110,7 +91,7 @@ private:
   json_value parse_object(int depth) {
     expect('{');
     member_list members;
-    key_index index(0, key_of{&members}, key_of{&members});
+    std::set<std::size_t, key_less> keys(key_less{&members});
     skip_ws();
     if (peek() == '}') {
       ++pos_;
@@ -120,7 +101,7 @@ private:
       skip_ws();
       if (peek() != '"') fail(pos_, "expected string key");
       members.emplace_back(parse_string(), json_value());
-      if (repeats_earlier_key(members, index))
+      if (!keys.insert(members.size() - 1).second)
         fail(pos_, "duplicate key '" + members.back().first + "'");
       skip_ws();
       expect(':');

@@ -13,9 +13,10 @@
 // time for the next '"', '\' or control byte (util/json_scan.h), and the
 // plain run before it is appended in one call, so an inline .dfg upload
 // decodes at memcpy-like speed between its escapes. Duplicate keys are
-// caught by comparison in small objects and through a hash index of the
-// keys past a few members; either way the first repeat in document order
-// is reported, at the offset just past it.
+// caught through an ordered set of each object's keys, so an object of n
+// keys costs O(log n) comparisons per key whatever keys a client chooses;
+// the first repeat in document order is reported, at the offset just past
+// it.
 #pragma once
 
 #include <cstddef>

@@ -560,9 +560,12 @@ std::string request_error(std::string_view line) {
   }
 }
 
+/// The line write_response_line puts on a stream; render_response_line,
+/// which the service sends, must hold the same bytes.
 std::string response_bytes(const sv::response& r, bool emit_schedule) {
   std::ostringstream oss;
   sv::write_response_line(oss, r, emit_schedule);
+  EXPECT_EQ(sv::render_response_line(r, emit_schedule), oss.str());
   return std::move(oss).str();
 }
 

@@ -233,6 +233,11 @@ TEST(JsonWriter, WritesTheDocumentOnceItsRootCloses) {
     EXPECT_FALSE(u.done());
   }
   EXPECT_EQ(unfinished.str(), "");
+  softsched::json_writer kept(/*compact=*/true); // no stream: str() hands it over
+  kept.begin_array();
+  kept.value(1);
+  kept.end_array();
+  EXPECT_EQ(std::move(kept).str(), "[1]");
 }
 
 TEST(JsonWriter, PrettyLayoutIsPinned) {
