@@ -168,9 +168,9 @@ void threaded_graph::size_per_thread_scratch() {
 void threaded_graph::refresh_closure() {
   const graph::graph_cursor now = g_->cursor();
   if (closure_ && closure_cursor_ == now) return;
-  if (closure_ && incremental_ && closure_cursor_.rebuild_epoch == now.rebuild_epoch) {
-    // The source graph only grew since the last sync: replay the growth
-    // instead of rebuilding the whole O(V*E/64) bitset.
+  if (closure_ && incremental_) {
+    // The source graph only grows: replay what it gained instead of
+    // rebuilding the whole O(V*E/64) bitset.
     stats_.closure_rows_touched += closure_->grow_from(*g_, closure_cursor_);
     ++stats_.closure_syncs;
     if (paranoid_checks_enabled() &&

@@ -17,6 +17,7 @@
 // of the paper's Figure 2.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -68,6 +69,19 @@ struct schedule_stats {
   friend bool operator==(const schedule_stats&, const schedule_stats&) = default;
 };
 
+/// Every schedule_stats counter, in disk-record order: the one list the
+/// persistent tier's record codec (serve/diskcache.cpp) and
+/// run_context::accumulate iterate.
+inline constexpr std::array schedule_stats_counters = {
+    &schedule_stats::select_calls,       &schedule_stats::positions_scanned,
+    &schedule_stats::positions_rejected, &schedule_stats::commits,
+    &schedule_stats::label_passes,       &schedule_stats::cross_edge_updates,
+    &schedule_stats::nodes_relabeled,    &schedule_stats::closure_rebuilds,
+    &schedule_stats::closure_syncs,      &schedule_stats::closure_rows_touched};
+static_assert(sizeof(schedule_stats) ==
+                  schedule_stats_counters.size() * sizeof(std::uint64_t),
+              "schedule_stats_counters must list every schedule_stats counter");
+
 /// The K-threaded scheduling state over a precedence graph G, plus the
 /// threaded-schedule online algorithm (Algorithm 1).
 ///
@@ -78,10 +92,10 @@ struct schedule_stats {
 /// binding (hls_binding.h) supplies resource-class tags instead.
 ///
 /// The referenced graph may *grow* after construction (the refinement
-/// engine inserts spill/wire/move vertices); the transitive-closure cache
-/// catches up incrementally via precedence_graph::cursor() while the graph
-/// only grew, and rebuilds from scratch after an arbitrary change (see
-/// docs/DESIGN.md §4).
+/// engine inserts spill/wire/move vertices), and it only ever grows in
+/// reachability; the transitive-closure cache is built once and then
+/// catches up by replaying that growth via precedence_graph::cursor()
+/// (see docs/DESIGN.md §4).
 class threaded_graph {
 public:
   using tag_fn = std::function<int(vertex_id)>;
@@ -271,9 +285,9 @@ private:
   void incremental_relabel(std::int32_t n);
 
   /// Brings <=G up to date with the source graph: no-op when in sync,
-  /// incremental grow_from() while the graph only grew, full rebuild
-  /// otherwise. Called once per public entry point (not per internal
-  /// stage).
+  /// otherwise incremental grow_from(), or a full build on first use and
+  /// with set_incremental(false). Called once per public entry point (not
+  /// per internal stage).
   void refresh_closure();
 
   // refresh_closure-free bodies; public wrappers refresh once and delegate.

@@ -32,7 +32,7 @@ void precedence_graph::add_edge(vertex_id from, vertex_id to) {
   ++edge_count_;
 }
 
-bool precedence_graph::remove_edge_impl(vertex_id from, vertex_id to) {
+bool precedence_graph::remove_edge_reach_preserved(vertex_id from, vertex_id to) {
   require_vertex(from);
   require_vertex(to);
   auto& out = out_[from.value()];
@@ -43,16 +43,6 @@ bool precedence_graph::remove_edge_impl(vertex_id from, vertex_id to) {
   in.erase(std::find(in.begin(), in.end(), from));
   --edge_count_;
   return true;
-}
-
-bool precedence_graph::remove_edge(vertex_id from, vertex_id to) {
-  const bool removed = remove_edge_impl(from, to);
-  if (removed) ++rebuild_epoch_;
-  return removed;
-}
-
-bool precedence_graph::remove_edge_reach_preserved(vertex_id from, vertex_id to) {
-  return remove_edge_impl(from, to);
 }
 
 bool precedence_graph::has_edge(vertex_id from, vertex_id to) const {

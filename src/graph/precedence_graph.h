@@ -4,6 +4,10 @@
 // This is the substrate every other module builds on. Vertices are arena
 // indices (no pointer graphs); adjacency is stored both ways so that the
 // schedulers can walk predecessors and successors symmetrically.
+//
+// The graph only grows in reachability: vertices and edges are appended,
+// and the one removal is half of a reach-preserving rewire. That is what
+// lets the closure cache (reachability.h) sync by replaying growth.
 #pragma once
 
 #include <cstdint>
@@ -38,15 +42,14 @@ private:
 };
 
 /// Synchronization point for incremental consumers of a precedence_graph
-/// (the transitive-closure cache). A consumer records cursor() after a full
-/// rebuild; as long as the graph's rebuild_epoch() still matches, everything
-/// the graph gained since is exactly the vertices past `vertices` and the
-/// edge_log() entries past `edges_logged`, so the consumer can replay them
+/// (the transitive-closure cache). The graph only grows in reachability
+/// (see remove_edge_reach_preserved), so everything it gained since a
+/// consumer recorded cursor() is exactly the vertices past `vertices` and
+/// the edge_log() entries past `edges_logged`: the consumer replays them
 /// instead of rebuilding from scratch.
 struct graph_cursor {
-  std::uint64_t rebuild_epoch = 0; ///< rebuild_epoch() at sync time
-  std::size_t vertices = 0;        ///< vertex_count() at sync time
-  std::size_t edges_logged = 0;    ///< edge_log().size() at sync time
+  std::size_t vertices = 0;     ///< vertex_count() at sync time
+  std::size_t edges_logged = 0; ///< edge_log().size() at sync time
 
   friend bool operator==(const graph_cursor&, const graph_cursor&) = default;
 };
@@ -68,18 +71,14 @@ public:
   /// ignored (the partial order is a set).
   void add_edge(vertex_id from, vertex_id to);
 
-  /// Removes the edge if present; returns whether it existed. Reachability
-  /// may shrink, so this bumps rebuild_epoch() and forces incremental
-  /// consumers back to a full rebuild.
-  bool remove_edge(vertex_id from, vertex_id to);
-
-  /// remove_edge variant for *reach-preserving* rewires: the caller promises
-  /// to restore every severed from ->* to path (through vertices/edges added
-  /// in the same rewire) before the next reachability query. The refinement
-  /// patterns all have this shape - a spill replaces value -> consumer with
-  /// value -> store -> load -> consumer - so the closure cache may keep its
-  /// (still true) bits and stay on the incremental path. Does not bump
-  /// rebuild_epoch(); see docs/DESIGN.md §4 for the invariant.
+  /// Removes the edge if present; returns whether it existed. The one
+  /// removal, for *reach-preserving* rewires: the caller promises to
+  /// restore every severed from ->* to path (through vertices/edges added
+  /// in the same rewire) before the next reachability query. The
+  /// refinement patterns all have this shape - a spill replaces value ->
+  /// consumer with value -> store -> load -> consumer - so reachability
+  /// only grows and the closure cache keeps its (still true) bits; see
+  /// docs/DESIGN.md §4 for the invariant.
   bool remove_edge_reach_preserved(vertex_id from, vertex_id to);
 
   [[nodiscard]] bool has_edge(vertex_id from, vertex_id to) const;
@@ -114,12 +113,6 @@ public:
   /// of this graph.
   void require_vertex(vertex_id v) const;
 
-  /// Counter of *non-monotone* structural changes (edge removals that are
-  /// not declared reach-preserving). While it stands still, the graph only
-  /// grew: incremental consumers may replay the growth instead of
-  /// rebuilding.
-  [[nodiscard]] std::uint64_t rebuild_epoch() const noexcept { return rebuild_epoch_; }
-
   /// Chronological log of every edge actually added (duplicates that were
   /// ignored do not appear). Entries are never rewritten; removals leave
   /// the log untouched so replay positions stay stable.
@@ -129,19 +122,16 @@ public:
 
   /// Snapshot of the growth state for incremental consumers.
   [[nodiscard]] graph_cursor cursor() const noexcept {
-    return graph_cursor{rebuild_epoch_, delay_.size(), edge_log_.size()};
+    return graph_cursor{delay_.size(), edge_log_.size()};
   }
 
 private:
-  bool remove_edge_impl(vertex_id from, vertex_id to);
-
   std::vector<int> delay_;
   std::vector<std::string> name_;
   std::vector<std::vector<vertex_id>> out_;
   std::vector<std::vector<vertex_id>> in_;
   std::vector<std::pair<vertex_id, vertex_id>> edge_log_;
   std::size_t edge_count_ = 0;
-  std::uint64_t rebuild_epoch_ = 0;
 };
 
 } // namespace softsched::graph

@@ -77,8 +77,6 @@ std::size_t transitive_closure::add_edge(vertex_id u, vertex_id v) {
 }
 
 std::size_t transitive_closure::grow_from(const precedence_graph& g, graph_cursor& cursor) {
-  SOFTSCHED_EXPECT(cursor.rebuild_epoch == g.rebuild_epoch(),
-                   "closure grow_from: graph shrank since the cursor (rebuild required)");
   SOFTSCHED_EXPECT(cursor.vertices == n_, "closure grow_from: cursor describes another closure");
   const auto log = g.edge_log();
   SOFTSCHED_EXPECT(cursor.edges_logged <= log.size(),

@@ -7,7 +7,8 @@
 // grow_from() replays everything a precedence_graph gained since a
 // graph_cursor snapshot - an Italiano-style update that costs O(V/64) per
 // row actually reaching the new edge's tail instead of a full O(V*E/64)
-// rebuild per mutation.
+// rebuild per mutation. A precedence_graph only grows in reachability, so
+// after the first build a closure never needs a rebuild to stay exact.
 #pragma once
 
 #include <bit>
@@ -85,9 +86,9 @@ public:
 
   /// Replays everything `g` gained since `cursor`: missing vertices first,
   /// then the edge_log() suffix. Requires the cursor to describe this
-  /// closure (same vertex count) and the graph's rebuild_epoch() to be
-  /// unchanged - callers fall back to a full rebuild otherwise. Advances
-  /// `cursor` to g.cursor() and returns the total rows touched.
+  /// closure (same vertex count). Exact because the graph only grows in
+  /// reachability (precedence_graph.h). Advances `cursor` to g.cursor()
+  /// and returns the total rows touched.
   std::size_t grow_from(const precedence_graph& g, graph_cursor& cursor);
 
   /// Bit-for-bit equality of the reachability relation (row strides may

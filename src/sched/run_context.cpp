@@ -21,16 +21,7 @@ void run_context::begin_run() {
 }
 
 void run_context::accumulate(const core::schedule_stats& s) noexcept {
-  totals.select_calls += s.select_calls;
-  totals.positions_scanned += s.positions_scanned;
-  totals.positions_rejected += s.positions_rejected;
-  totals.commits += s.commits;
-  totals.label_passes += s.label_passes;
-  totals.cross_edge_updates += s.cross_edge_updates;
-  totals.nodes_relabeled += s.nodes_relabeled;
-  totals.closure_rebuilds += s.closure_rebuilds;
-  totals.closure_syncs += s.closure_syncs;
-  totals.closure_rows_touched += s.closure_rows_touched;
+  for (const auto counter : core::schedule_stats_counters) totals.*counter += s.*counter;
 }
 
 worker_contexts::worker_contexts(unsigned workers) {

@@ -4,11 +4,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <istream>
 #include <limits>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <thread>
 #include <utility>
@@ -228,42 +228,33 @@ void service::drain() {
 
 std::size_t service::flush_disk() { return disk_ != nullptr ? disk_->flush() : 0; }
 
-source_info service::lookup_source(const request& req) {
-  const std::string sig = req.source_signature();
-  std::optional<std::promise<source_info>> leader; // engaged iff this call hashes
-  std::shared_future<source_info> pending;
-  {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
-    const auto it = source_memo_.find(sig);
-    if (it != source_memo_.end()) return it->second;
-    const auto hashing = hashing_.find(sig);
-    if (hashing != hashing_.end()) {
-      pending = hashing->second;
-    } else {
-      pending = leader.emplace().get_future().share();
-      hashing_.emplace(sig, pending);
-    }
+std::shared_future<source_info> service::lookup_source(const request& req) {
+  std::string sig = req.source_signature();
+  std::unique_lock<std::mutex> lock(memo_mutex_);
+  const auto it = source_memo_.find(sig);
+  // A pending hash is always running: its first ask registered it inside
+  // its own job, so a wait on it terminates.
+  if (it != source_memo_.end()) return it->second;
+  if (source_memo_.size() > memo_entry_limit ||
+      source_memo_bytes_ > std::max<std::size_t>(options_.cache_bytes, 8ull << 20)) {
+    source_memo_.clear();
+    source_memo_bytes_ = 0;
   }
-  // A pending hash is always running: its leader registered it inside its
-  // own job, so this wait terminates.
-  if (!leader) return pending.get();
-  // Hash outside the lock (the expensive part).
+  std::promise<source_info> first;
+  const std::shared_future<source_info> known = first.get_future().share();
+  source_memo_bytes_ += sig.size() + sizeof(source_info) + 64;
+  source_memo_.emplace(std::move(sig), known);
+  lock.unlock();
+
+  // The first ask hashes, outside the lock (the expensive part). A wipe
+  // while it runs leaves the bytes below counted for a dropped entry: at
+  // most one design per worker, which only brings the next wipe earlier.
   source_info info = hash_request_source(req);
-  {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
-    hashing_.erase(sig);
-    if (source_memo_.size() > memo_entry_limit ||
-        source_memo_bytes_ > std::max<std::size_t>(options_.cache_bytes, 8ull << 20)) {
-      source_memo_.clear();
-      source_memo_bytes_ = 0;
-    }
-    source_memo_.emplace(sig, info);
-    source_memo_bytes_ += sig.size() + info.error.size() +
-                          info.canonical_of.size() * sizeof(std::uint32_t) +
-                          sizeof(source_info) + 64;
-  }
-  leader->set_value(info);
-  return info;
+  lock.lock();
+  source_memo_bytes_ += info.error.size() + info.canonical_of.size() * sizeof(std::uint32_t);
+  lock.unlock();
+  first.set_value(std::move(info));
+  return known;
 }
 
 void service::process(std::uint64_t seq, const std::string& text, const callback& done,
@@ -272,148 +263,135 @@ void service::process(std::uint64_t seq, const std::string& text, const callback
   r.line = seq;
   r.id = "line" + std::to_string(seq);
   try {
-    // -- worker-slot injection: a pure function of the sequence number, so
-    //    tests can target "the request that lands on slot 0" regardless of
-    //    which pool thread actually runs it ---------------------------------
-    const unsigned slot = static_cast<unsigned>((seq > 0 ? seq - 1 : 0) % jobs_);
-    const auto slot_rule = options_.faults.slots.find(slot);
-    if (slot_rule != options_.faults.slots.end()) {
-      sleep_ms(slot_rule->second.delay_ms);
-      if (slot_rule->second.fail) {
-        r.error = "injected fault: worker slot " + std::to_string(slot);
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        complete(std::move(r), done, admitted_at);
-        return;
-      }
-    }
-
-    // -- parse ---------------------------------------------------------------
-    request req;
-    try {
-      req = parse_request_line(text);
-    } catch (const json_error& e) {
-      r.error = e.what();
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      complete(std::move(r), done, admitted_at);
-      return;
-    }
-    if (!req.id.empty()) r.id = req.id;
-    r.backend = req.backend;
-
-    // -- canonical hash (memoized) + cache key -------------------------------
-    const source_info source = lookup_source(req);
-    if (!source.error.empty()) {
-      r.error = source.error;
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      complete(std::move(r), done, admitted_at);
-      return;
-    }
-    r.key = schedule_key_for(req, source.digest);
-
-    // -- shard injection: a failed shard is *unavailable*, not fatal - its
-    //    lookups miss and its inserts are dropped, so requests keep being
-    //    served (recomputed), just degraded --------------------------------
-    bool shard_available = true;
-    double shard_delay = 0;
-    if (!options_.faults.shards.empty()) {
-      const auto rule = options_.faults.shards.find(cache_.shard_index(r.key));
-      if (rule != options_.faults.shards.end()) {
-        shard_available = !rule->second.fail;
-        shard_delay = rule->second.delay_ms;
-      }
-    }
-
-    // -- join or lead the in-flight computation ------------------------------
-    std::shared_future<flight_ptr> joined;
-    std::promise<flight_ptr> promise;
-    bool leader = false;
-    {
-      const std::lock_guard<std::mutex> lock(flight_mutex_);
-      const auto it = flights_.find(r.key);
-      if (it != flights_.end()) {
-        joined = it->second;
-      } else {
-        joined = promise.get_future().share();
-        flights_.emplace(r.key, joined);
-        leader = true;
-      }
-    }
-
-    if (!leader) {
-      // A flight exists only while its leader is actively running (it
-      // registers inside its own job), so this wait always terminates. The
-      // result comes straight off the flight - never a cache re-lookup,
-      // which would miss when the value was oversize-rejected.
-      const flight_ptr outcome = joined.get();
-      if (!outcome->error.empty()) {
-        r.error = outcome->error;
-        errors_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        r.result = result_to_source_order(*outcome->result, source.canonical_of);
-        deduped_.fetch_add(1, std::memory_order_relaxed);
-      }
-      complete(std::move(r), done, admitted_at);
-      return;
-    }
-
-    // -- leader: cache consult, compute on miss, publish ---------------------
-    flight f;
-    bool from_cache = false;
-    double compute_ms = 0;
-    try {
-      sleep_ms(shard_delay);
-      schedule_cache::result_ptr cached;
-      if (shard_available) cached = cache_.lookup(r.key);
-      if (cached == nullptr && disk_ != nullptr) {
-        // Read-through: a RAM miss consults the persistent tier; a disk
-        // hit is promoted so the next ask is a RAM hit. The disk tier is
-        // global (not sharded), so an injected shard failure only blocks
-        // the promotion, never the read.
-        cached = disk_->lookup(r.key);
-        if (cached != nullptr && shard_available) cache_.insert(r.key, cached);
-      }
-      if (cached != nullptr) {
-        from_cache = true;
-        f.result = std::move(cached);
-      } else {
-        const auto t0 = clock_type::now();
-        f.result = std::make_shared<const schedule_result>(compute_canonical_schedule(
-            req, source.canonical_of, contexts_.local()));
-        compute_ms = millis_since(t0);
-        if (shard_available) cache_.insert(r.key, f.result);
-        if (disk_ != nullptr) disk_->enqueue(r.key, f.result); // write-behind
-      }
-    } catch (const std::exception& e) {
-      f.error = e.what();
-      f.result = nullptr;
-    }
-    const flight_ptr published = std::make_shared<const flight>(std::move(f));
-    {
-      const std::lock_guard<std::mutex> lock(flight_mutex_);
-      flights_.erase(r.key);
-    }
-    promise.set_value(published);
-
-    if (!published->error.empty()) {
-      r.error = published->error;
-      errors_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      r.result = result_to_source_order(*published->result, source.canonical_of);
-      if (from_cache) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        computed_.fetch_add(1, std::memory_order_relaxed);
-        r.ms = compute_ms;
-      }
-    }
-    complete(std::move(r), done, admitted_at);
+    answer(seq, text, r);
   } catch (const std::exception& e) {
     // Pool jobs must not throw; any unexpected escape becomes an error
     // response so the request still completes and drain() still terminates.
     r.error = std::string("serve: internal error: ") + e.what();
     r.result = {};
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    complete(std::move(r), done, admitted_at);
+  }
+  if (!r.error.empty()) errors_.fetch_add(1, std::memory_order_relaxed);
+  complete(std::move(r), done, admitted_at);
+}
+
+void service::answer(std::uint64_t seq, const std::string& text, response& r) {
+  // -- worker-slot injection: a pure function of the sequence number, so
+  //    tests can target "the request that lands on slot 0" regardless of
+  //    which pool thread actually runs it -----------------------------------
+  const unsigned slot = static_cast<unsigned>((seq > 0 ? seq - 1 : 0) % jobs_);
+  const auto slot_rule = options_.faults.slots.find(slot);
+  if (slot_rule != options_.faults.slots.end()) {
+    sleep_ms(slot_rule->second.delay_ms);
+    if (slot_rule->second.fail) {
+      r.error = "injected fault: worker slot " + std::to_string(slot);
+      return;
+    }
+  }
+
+  // -- parse -----------------------------------------------------------------
+  request req;
+  try {
+    req = parse_request_line(text);
+  } catch (const json_error& e) {
+    r.error = e.what();
+    return;
+  }
+  if (!req.id.empty()) r.id = req.id;
+  r.backend = req.backend;
+
+  // -- canonical hash (memoized) + cache key ---------------------------------
+  const std::shared_future<source_info> memo = lookup_source(req);
+  const source_info& source = memo.get();
+  if (!source.error.empty()) {
+    r.error = source.error;
+    return;
+  }
+  r.key = schedule_key_for(req, source.digest);
+
+  // -- shard injection: a failed shard is *unavailable*, not fatal - its
+  //    lookups miss and its inserts are dropped, so requests keep being
+  //    served (recomputed), just degraded ----------------------------------
+  bool shard_available = true;
+  double shard_delay = 0;
+  if (!options_.faults.shards.empty()) {
+    const auto rule = options_.faults.shards.find(cache_.shard_index(r.key));
+    if (rule != options_.faults.shards.end()) {
+      shard_available = !rule->second.fail;
+      shard_delay = rule->second.delay_ms;
+    }
+  }
+
+  // -- join or lead the in-flight computation --------------------------------
+  std::promise<schedule_cache::result_ptr> lead; // set iff this request leads
+  std::shared_future<schedule_cache::result_ptr> outcome;
+  bool leader = false;
+  {
+    const std::lock_guard<std::mutex> lock(flight_mutex_);
+    const auto it = flights_.find(r.key);
+    if (it != flights_.end()) {
+      outcome = it->second;
+    } else {
+      outcome = lead.get_future().share();
+      flights_.emplace(r.key, outcome);
+      leader = true;
+    }
+  }
+
+  // -- leader: cache consult, compute on miss, publish -----------------------
+  schedule_cache::result_ptr result;
+  bool from_cache = false;
+  double compute_ms = 0;
+  if (leader) {
+    std::exception_ptr failure;
+    try {
+      sleep_ms(shard_delay);
+      if (shard_available) result = cache_.lookup(r.key);
+      if (result == nullptr && disk_ != nullptr) {
+        // Read-through: a RAM miss consults the persistent tier; a disk
+        // hit is promoted so the next ask is a RAM hit. The disk tier is
+        // global (not sharded), so an injected shard failure only blocks
+        // the promotion, never the read.
+        result = disk_->lookup(r.key);
+        if (result != nullptr && shard_available) cache_.insert(r.key, result);
+      }
+      from_cache = result != nullptr;
+      if (!from_cache) {
+        const auto t0 = clock_type::now();
+        result = std::make_shared<const schedule_result>(
+            compute_canonical_schedule(req, source.canonical_of, contexts_.local()));
+        compute_ms = millis_since(t0);
+        if (shard_available) cache_.insert(r.key, result);
+        if (disk_ != nullptr) disk_->enqueue(r.key, result); // write-behind
+      }
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    {
+      const std::lock_guard<std::mutex> lock(flight_mutex_);
+      flights_.erase(r.key);
+    }
+    if (failure) lead.set_exception(failure);
+    else lead.set_value(result);
+  }
+
+  // A flight exists only while its leader is actively running (it
+  // registers inside its own job), so a follower's wait always terminates.
+  // The result comes straight off the flight - never a cache re-lookup,
+  // which would miss when the value was oversize-rejected.
+  try {
+    result = outcome.get();
+  } catch (const std::exception& e) {
+    r.error = e.what();
+    return;
+  }
+  r.result = result_to_source_order(*result, source.canonical_of);
+  if (!leader) {
+    deduped_.fetch_add(1, std::memory_order_relaxed);
+  } else if (from_cache) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    computed_.fetch_add(1, std::memory_order_relaxed);
+    r.ms = compute_ms;
   }
 }
 

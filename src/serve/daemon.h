@@ -191,23 +191,17 @@ public:
   [[nodiscard]] disk_cache* disk() noexcept { return disk_.get(); }
 
 private:
-  /// In-flight dedup rendezvous: the leader publishes its canonical-space
-  /// outcome here; followers that arrived while it was computing read the
-  /// result straight from the future (never from a cache re-lookup, which
-  /// would return null for oversize-rejected values).
-  struct flight {
-    std::string error; ///< set by the leader iff the computation failed
-    schedule_cache::result_ptr result;
-  };
-  using flight_ptr = std::shared_ptr<const flight>;
-
   void process(std::uint64_t seq, const std::string& text, const callback& done,
                std::chrono::steady_clock::time_point admitted_at);
+  /// process() body: fills `r` with the request's result or its error.
+  /// Throws only on an internal failure, which process() answers too.
+  void answer(std::uint64_t seq, const std::string& text, response& r);
   void complete(response r, const callback& done,
                 std::chrono::steady_clock::time_point admitted_at);
-  /// The request's source identity, hashed once per distinct source:
-  /// concurrent first asks for one signature wait on the first one's hash.
-  [[nodiscard]] source_info lookup_source(const request& req);
+  /// The request's source identity, hashed once per distinct source: the
+  /// first ask for a signature hashes it, later asks (concurrent ones
+  /// included) wait on that one hash.
+  [[nodiscard]] std::shared_future<source_info> lookup_source(const request& req);
 
   service_options options_;
   unsigned jobs_ = 1;
@@ -236,23 +230,25 @@ private:
   std::condition_variable drained_;
 
   // Source-signature -> source_info memo: each distinct design is hashed
-  // once, then recognized by signature; hashing_ holds the hashes still
-  // running, so concurrent first asks join one instead of hashing again
-  // (the flight pattern below). Bounded by entry count AND bytes
-  // (signatures embed raw .dfg text and the canonical_of maps scale with
-  // design size, so a stream of distinct large inline designs must not
-  // grow memory past the operator's cache budget); wiped when either bound
-  // trips - the schedule cache, not the memo, is the capacity story.
+  // once, by the first ask for its signature, which inserts the future of
+  // that hash; later asks, concurrent ones included, wait on it instead of
+  // hashing again. Bounded by entry count AND bytes (signatures embed raw
+  // .dfg text and the canonical_of maps scale with design size, so a
+  // stream of distinct large inline designs must not grow memory past the
+  // operator's cache budget); wiped when either bound trips - the schedule
+  // cache, not the memo, is the capacity story.
   std::mutex memo_mutex_;
-  std::unordered_map<std::string, source_info> source_memo_;
-  std::unordered_map<std::string, std::shared_future<source_info>> hashing_;
+  std::unordered_map<std::string, std::shared_future<source_info>> source_memo_;
   std::size_t source_memo_bytes_ = 0;
 
-  // Key -> in-flight computation. The leader inserts a promise before
-  // touching the cache and erases it after publishing, so any follower
-  // either joins the flight or does its own (possibly cached) lookup.
+  // Key -> in-flight computation, as a future of its canonical-space
+  // result or the exception that ended it. The leader inserts the future
+  // before touching the cache and erases it before publishing, so any
+  // follower either joins the flight and reads the result straight off it
+  // (never from a cache re-lookup, which would return null for
+  // oversize-rejected values) or does its own (possibly cached) lookup.
   std::mutex flight_mutex_;
-  std::unordered_map<ir::dfg_digest, std::shared_future<flight_ptr>,
+  std::unordered_map<ir::dfg_digest, std::shared_future<schedule_cache::result_ptr>,
                      ir::dfg_digest_hash>
       flights_;
 };

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <utility>
 
@@ -21,10 +22,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// The stats payload is written as a field-count-prefixed block so that
-// growing core::schedule_stats without bumping record_version makes old
-// records read as corrupt (a safe miss) instead of as shifted garbage.
-constexpr std::uint64_t stats_field_count = 10;
+// Offsets of the two header fields serialize_record patches once the
+// payload is written (layout in diskcache.h).
+constexpr std::size_t payload_len_offset = 24;
+constexpr std::size_t checksum_offset = 32;
 
 // Sanity ceiling for length fields parsed out of untrusted bytes, applied
 // *before* any allocation sized by them. Far above any real record (a
@@ -60,34 +61,59 @@ bool parse_hex_key(std::string_view stem, ir::dfg_digest& out) {
 /// length, payload. Covering the key means a bit-flipped key field cannot
 /// make record A answer for key B.
 std::uint64_t record_checksum(std::string_view record) {
-  const std::uint64_t over_header = fnv1a64(record.substr(4, 28));
+  const std::uint64_t over_header = fnv1a64(record.substr(4, checksum_offset - 4));
   return fnv1a64(record.substr(disk_cache::record_header_bytes), over_header);
 }
 
-/// Reads the whole file at `path`. Returns false on any I/O error;
-/// `missing` distinguishes ENOENT (a vanished record: a miss, not an
-/// outage) from real failures.
-bool read_whole_file(const std::string& path, std::string& out, bool& missing) {
-  missing = false;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    missing = errno == ENOENT;
-    return false;
-  }
+/// The header fields after the magic and version.
+struct record_header {
+  ir::dfg_digest key;
+  std::uint64_t payload_len = 0;
+  std::uint64_t checksum = 0;
+};
+
+/// The one header decoder, for lookup, the recovery scan and import:
+/// nullopt when `bytes` is shorter than a header or does not start with
+/// this build's magic and version.
+std::optional<record_header> decode_header(std::string_view bytes) {
+  if (bytes.size() < disk_cache::record_header_bytes) return std::nullopt;
+  byte_reader r(bytes);
+  if (r.u32() != disk_cache::record_magic || r.u32() != disk_cache::record_version)
+    return std::nullopt;
+  return record_header{{r.u64(), r.u64()}, r.u64(), r.u64()};
+}
+
+/// What read_file found.
+struct file_read {
+  bool ok = false;      ///< false on any I/O error
+  bool missing = false; ///< ENOENT: a vanished record is a miss, not an outage
+  struct stat st {};    ///< the file's fstat, valid when ok
+};
+
+/// The one POSIX read of a record file: the first `limit` bytes of the
+/// file at `path` (all of it by default) into `out`.
+file_read read_file(const char* path, std::string& out,
+                    std::size_t limit = std::numeric_limits<std::size_t>::max()) {
+  file_read got;
   out.clear();
+  const int fd = ::open(path, O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    got.missing = errno == ENOENT;
+    return got;
+  }
+  got.ok = ::fstat(fd, &got.st) == 0;
   char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
+  while (got.ok && out.size() < limit) {
+    const ssize_t n = ::read(fd, buf, std::min(sizeof buf, limit - out.size()));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      got.ok = n == 0;
+      break;
     }
-    if (n == 0) break;
     out.append(buf, static_cast<std::size_t>(n));
   }
   ::close(fd);
-  return true;
+  return got;
 }
 
 } // namespace
@@ -101,57 +127,40 @@ std::string disk_cache::record_filename(const ir::dfg_digest& key) {
 std::string disk_cache::serialize_record(const ir::dfg_digest& key,
                                          const schedule_result& value,
                                          std::uint32_t version) {
-  byte_writer payload;
-  payload.u8(value.feasible ? 1 : 0);
-  payload.str(value.infeasible_reason);
-  payload.u64(value.ops);
-  payload.i64(value.latency);
-  payload.u64(value.start_times.size());
-  for (const long long t : value.start_times) payload.i64(t);
-  payload.u64(value.unit_of.size());
-  for (const int u : value.unit_of) payload.i64(u);
-  payload.u64(stats_field_count);
-  payload.u64(value.stats.select_calls);
-  payload.u64(value.stats.positions_scanned);
-  payload.u64(value.stats.positions_rejected);
-  payload.u64(value.stats.commits);
-  payload.u64(value.stats.label_passes);
-  payload.u64(value.stats.cross_edge_updates);
-  payload.u64(value.stats.nodes_relabeled);
-  payload.u64(value.stats.closure_rebuilds);
-  payload.u64(value.stats.closure_syncs);
-  payload.u64(value.stats.closure_rows_touched);
-
-  byte_writer header;
-  header.u32(record_magic);
-  header.u32(version);
-  header.u64(key.hi);
-  header.u64(key.lo);
-  header.u64(payload.size());
-  header.u64(0); // checksum, patched below
-  std::string record = header.take();
-  record += payload.bytes();
-  const std::uint64_t sum = record_checksum(record);
-  for (int b = 0; b < 8; ++b)
-    record[32 + static_cast<std::size_t>(b)] = static_cast<char>((sum >> (8 * b)) & 0xff);
-  return record;
+  byte_writer w;
+  w.u32(record_magic);
+  w.u32(version);
+  w.u64(key.hi);
+  w.u64(key.lo);
+  w.u64(0); // payload length, patched below
+  w.u64(0); // checksum, patched below
+  w.u8(value.feasible ? 1 : 0);
+  w.str(value.infeasible_reason);
+  w.u64(value.ops);
+  w.i64(value.latency);
+  w.u64(value.start_times.size());
+  for (const long long t : value.start_times) w.i64(t);
+  w.u64(value.unit_of.size());
+  for (const int u : value.unit_of) w.i64(u);
+  // Field-count-prefixed, so growing core::schedule_stats without bumping
+  // record_version makes old records read as corrupt (a safe miss) instead
+  // of as shifted garbage.
+  w.u64(core::schedule_stats_counters.size());
+  for (const auto counter : core::schedule_stats_counters) w.u64(value.stats.*counter);
+  w.patch_u64(payload_len_offset, w.size() - record_header_bytes);
+  w.patch_u64(checksum_offset, record_checksum(w.bytes()));
+  return w.take();
 }
 
 std::optional<std::pair<ir::dfg_digest, schedule_result>>
 disk_cache::deserialize_record(std::string_view bytes, const ir::dfg_digest* expect_key) {
-  if (bytes.size() < record_header_bytes) return std::nullopt;
-  byte_reader r(bytes);
-  if (r.u32() != record_magic) return std::nullopt;
-  if (r.u32() != record_version) return std::nullopt;
-  ir::dfg_digest key;
-  key.hi = r.u64();
-  key.lo = r.u64();
-  const std::uint64_t payload_len = r.u64();
-  const std::uint64_t stored_sum = r.u64();
-  if (payload_len != bytes.size() - record_header_bytes) return std::nullopt;
-  if (stored_sum != record_checksum(bytes)) return std::nullopt;
-  if (expect_key != nullptr && key != *expect_key) return std::nullopt;
+  const std::optional<record_header> header = decode_header(bytes);
+  if (!header || header->payload_len != bytes.size() - record_header_bytes ||
+      header->checksum != record_checksum(bytes) ||
+      (expect_key != nullptr && header->key != *expect_key))
+    return std::nullopt;
 
+  byte_reader r(bytes.substr(record_header_bytes));
   schedule_result v;
   v.feasible = r.u8() != 0;
   v.infeasible_reason = r.str();
@@ -165,19 +174,10 @@ disk_cache::deserialize_record(std::string_view bytes, const ir::dfg_digest* exp
   if (!r.ok() || n_units > r.remaining() / 8) return std::nullopt;
   v.unit_of.reserve(static_cast<std::size_t>(n_units));
   for (std::uint64_t i = 0; i < n_units; ++i) v.unit_of.push_back(static_cast<int>(r.i64()));
-  if (r.u64() != stats_field_count) return std::nullopt;
-  v.stats.select_calls = r.u64();
-  v.stats.positions_scanned = r.u64();
-  v.stats.positions_rejected = r.u64();
-  v.stats.commits = r.u64();
-  v.stats.label_passes = r.u64();
-  v.stats.cross_edge_updates = r.u64();
-  v.stats.nodes_relabeled = r.u64();
-  v.stats.closure_rebuilds = r.u64();
-  v.stats.closure_syncs = r.u64();
-  v.stats.closure_rows_touched = r.u64();
+  if (r.u64() != core::schedule_stats_counters.size()) return std::nullopt;
+  for (const auto counter : core::schedule_stats_counters) v.stats.*counter = r.u64();
   if (!r.ok() || r.remaining() != 0) return std::nullopt;
-  return std::make_pair(key, std::move(v));
+  return std::make_pair(header->key, std::move(v));
 }
 
 disk_cache::disk_cache(const disk_cache_options& options) : options_(options) {
@@ -222,11 +222,12 @@ void disk_cache::scan_directory() {
   struct found {
     ir::dfg_digest key;
     std::size_t size = 0;
-    fs::file_time_type mtime;
+    std::int64_t mtime_ns = 0;
   };
   std::vector<found> keep;
   std::vector<std::string> quarantine;
   if (!ec) {
+    std::string header;
     for (auto it = fs::directory_iterator(options_.directory, ec);
          !ec && it != fs::directory_iterator(); it.increment(ec)) {
       std::error_code file_ec;
@@ -238,35 +239,13 @@ void disk_cache::scan_directory() {
       // the scan stays O(entries) header reads even for a large cache; a
       // payload bit flip is caught (and quarantined) on first access.
       ir::dfg_digest key;
-      bool valid = parse_hex_key(p.stem().string(), key);
-      if (valid) {
-        char header[record_header_bytes];
-        const int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);
-        valid = fd >= 0;
-        std::size_t file_size = 0;
-        if (valid) {
-          struct stat st {};
-          valid = ::fstat(fd, &st) == 0;
-          if (valid) file_size = static_cast<std::size_t>(st.st_size);
-          ssize_t got = 0;
-          while (valid && got < static_cast<ssize_t>(sizeof header)) {
-            const ssize_t n = ::read(fd, header + got, sizeof header - static_cast<std::size_t>(got));
-            if (n < 0 && errno == EINTR) continue;
-            if (n <= 0) valid = false;
-            else got += n;
-          }
-          ::close(fd);
-        }
-        if (valid) {
-          byte_reader r(std::string_view(header, sizeof header));
-          valid = r.u32() == record_magic && r.u32() == record_version &&
-                  ir::dfg_digest{r.u64(), r.u64()} == key &&
-                  r.u64() == file_size - record_header_bytes;
-        }
-        if (valid) {
-          std::error_code mtime_ec;
-          const auto mtime = fs::last_write_time(p, mtime_ec);
-          keep.push_back({key, file_size, mtime_ec ? fs::file_time_type{} : mtime});
+      if (parse_hex_key(p.stem().string(), key)) {
+        const file_read got = read_file(p.c_str(), header, record_header_bytes);
+        const auto size = static_cast<std::size_t>(got.st.st_size);
+        const std::optional<record_header> h = decode_header(header);
+        if (got.ok && h && h->key == key && h->payload_len == size - record_header_bytes) {
+          const timespec& mtime = got.st.st_mtim;
+          keep.push_back({key, size, std::int64_t{mtime.tv_sec} * 1'000'000'000 + mtime.tv_nsec});
           continue;
         }
       }
@@ -280,7 +259,7 @@ void disk_cache::scan_directory() {
     // Oldest first, so successive push_fronts leave the newest record in
     // the MRU slot - the restart approximates the pre-crash LRU order.
     std::sort(keep.begin(), keep.end(),
-              [](const found& a, const found& b) { return a.mtime < b.mtime; });
+              [](const found& a, const found& b) { return a.mtime_ns < b.mtime_ns; });
     for (const found& f : keep) {
       lru_.push_front({f.key, f.size});
       index_.emplace(f.key, lru_.begin());
@@ -334,19 +313,6 @@ bool disk_cache::write_record_file(const std::string& path, std::string_view byt
   return true;
 }
 
-bool disk_cache::read_record_file(const std::string& path, std::string& out,
-                                  const disk_fault_action& fault, bool& missing) {
-  sleep_ms(fault.delay_ms);
-  if (fault.fail) {
-    missing = false;
-    errno = EIO;
-    return false;
-  }
-  if (!read_whole_file(path, out, missing)) return false;
-  if (fault.torn) out.resize(out.size() / 2); // deterministic short read
-  return true;
-}
-
 disk_cache::result_ptr disk_cache::lookup(const ir::dfg_digest& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (degraded_) {
@@ -359,10 +325,11 @@ disk_cache::result_ptr disk_cache::lookup(const ir::dfg_digest& key) {
     return nullptr;
   }
   const disk_fault_action fault = next_op_fault();
+  sleep_ms(fault.delay_ms);
   std::string bytes;
-  bool missing = false;
-  if (!read_record_file(path_of(key), bytes, fault, missing)) {
-    if (missing) {
+  const file_read got = fault.fail ? file_read{} : read_file(path_of(key).c_str(), bytes);
+  if (!got.ok) {
+    if (got.missing) {
       // Someone removed the file behind us (partial directory): drop the
       // stale index entry; a vanished record is a plain miss, not an outage.
       unindex_locked(key);
@@ -373,6 +340,7 @@ disk_cache::result_ptr disk_cache::lookup(const ir::dfg_digest& key) {
     ++tally_.misses;
     return nullptr;
   }
+  if (fault.torn) bytes.resize(bytes.size() / 2); // deterministic short read
   auto decoded = deserialize_record(bytes, &key);
   if (!decoded) {
     drop_record_locked(key, /*corrupt=*/true);
@@ -521,9 +489,9 @@ std::optional<std::uint64_t> disk_cache::export_to(std::ostream& out) {
   std::uint64_t count = 0;
   for (const ir::dfg_digest& key : keys) {
     std::string bytes;
-    bool missing = false;
-    if (!read_whole_file(path_of(key), bytes, missing)) {
-      if (!missing) {
+    const file_read got = read_file(path_of(key).c_str(), bytes);
+    if (!got.ok) {
+      if (!got.missing) {
         ++tally_.io_errors;
         degrade_locked("export read");
       }
@@ -563,21 +531,16 @@ disk_import_summary disk_cache::import_from(std::istream& in) {
       summary.truncated = true;
       break;
     }
-    byte_reader r(record);
-    const std::uint32_t magic = r.u32();
-    const std::uint32_t version = r.u32();
-    const ir::dfg_digest key{r.u64(), r.u64()};
-    const std::uint64_t payload_len = r.u64();
+    const std::optional<record_header> header = decode_header(record);
     // A bad length field makes resynchronization unsafe: stop rather than
     // guess where the next record starts.
-    if (magic != record_magic || version != record_version ||
-        payload_len > max_plausible_payload) {
+    if (!header || header->payload_len > max_plausible_payload) {
       ++summary.corrupt_skipped;
       break;
     }
-    const std::size_t before = record.size();
-    record.resize(before + static_cast<std::size_t>(payload_len));
-    in.read(record.data() + before, static_cast<std::streamsize>(payload_len));
+    const std::uint64_t payload_len = header->payload_len;
+    record.resize(record_header_bytes + static_cast<std::size_t>(payload_len));
+    in.read(record.data() + record_header_bytes, static_cast<std::streamsize>(payload_len));
     if (static_cast<std::size_t>(in.gcount()) != payload_len) {
       summary.truncated = true;
       break;
@@ -587,7 +550,7 @@ disk_import_summary disk_cache::import_from(std::istream& in) {
       ++summary.corrupt_skipped;
       break;
     }
-    if (!degraded_) store_locked(key, decoded->second);
+    if (!degraded_) store_locked(decoded->first, decoded->second);
     ++summary.imported;
   }
   return summary;

@@ -23,12 +23,17 @@
 //   u32 magic 'SSDC'   u32 version   u64 key_hi   u64 key_lo
 //   u64 payload_len    u64 checksum  payload bytes
 //
-// The checksum is FNV-1a 64 over (version, key_hi, key_lo, payload), so a
-// bit flip anywhere that matters - including in the key field, which would
-// otherwise let record A answer for key B - fails verification. The
-// payload is the byte_writer serialization of one schedule_result
-// (field-count-prefixed stats, so adding a counter to schedule_stats
-// without bumping the record version reads as corrupt, not as garbage).
+// The checksum is FNV-1a 64 over (version, key_hi, key_lo, payload_len,
+// payload), so a bit flip anywhere that matters - including in the key
+// field, which would otherwise let record A answer for key B - fails
+// verification. The payload is the byte_writer serialization of one
+// schedule_result; its stats block is field-count-prefixed and walks
+// core::schedule_stats_counters, so adding a counter to schedule_stats
+// without bumping the record version reads as corrupt, not as garbage.
+//
+// One codec: serialize_record is the only record writer, and one header
+// decoder serves lookup, the recovery scan and import. The scan reads
+// headers only; a record's payload is read and checksummed on lookup.
 //
 // Concurrency: one mutex serializes index/LRU/counters *and* the record
 // I/O of lookups and synchronous stores. This tier sits below a RAM miss -
@@ -223,8 +228,6 @@ private:
   void drop_record_locked(const ir::dfg_digest& key, bool corrupt);
   [[nodiscard]] bool write_record_file(const std::string& path, std::string_view bytes,
                                        const disk_fault_action& fault);
-  [[nodiscard]] bool read_record_file(const std::string& path, std::string& out,
-                                      const disk_fault_action& fault, bool& missing);
   void flusher_main();
 
   disk_cache_options options_;

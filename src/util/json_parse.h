@@ -44,7 +44,6 @@ public:
 
   [[nodiscard]] kind type() const noexcept { return kind_; }
   [[nodiscard]] bool is_null() const noexcept { return kind_ == kind::null; }
-  [[nodiscard]] bool is_bool() const noexcept { return kind_ == kind::boolean; }
   [[nodiscard]] bool is_number() const noexcept { return kind_ == kind::number; }
   [[nodiscard]] bool is_string() const noexcept { return kind_ == kind::string; }
   [[nodiscard]] bool is_array() const noexcept { return kind_ == kind::array; }

@@ -26,8 +26,6 @@ public:
   /// Renders the table.
   void print(std::ostream& os) const;
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
 private:
   struct row {
     bool separator = false;

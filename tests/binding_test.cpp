@@ -100,8 +100,9 @@ TEST(Binding, SourceGraphGrowthRefreshesClosure) {
 }
 
 TEST(Binding, EdgeRemovalLoosensOnlyFutureDecisions) {
-  // Removing a G edge (spill rewiring does this) must not invalidate the
-  // already-committed state: the state order may stay tighter than G.
+  // Rewiring a G edge through a new op (spill rewiring does this) must not
+  // invalidate the already-committed state: the state order may stay
+  // tighter than G.
   const si::resource_library lib;
   si::dfg d("t", lib);
   const vertex_id a = d.add_op(si::op_kind::add, {}, "a");
@@ -110,7 +111,10 @@ TEST(Binding, EdgeRemovalLoosensOnlyFutureDecisions) {
   state.schedule(a);
   state.schedule(b);
   ASSERT_TRUE(state.state_precedes(a, b));
-  d.graph().remove_edge(a, b);
+  // a -> b becomes a -> m -> b; m is not scheduled yet.
+  d.graph().remove_edge_reach_preserved(a, b);
+  const vertex_id m = d.add_op(si::op_kind::add, {a}, "m");
+  d.graph().add_edge(m, b);
   // The committed relation survives; invariants still hold (the state is
   // allowed to be tighter than G).
   EXPECT_TRUE(state.state_precedes(a, b));

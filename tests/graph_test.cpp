@@ -81,8 +81,8 @@ TEST(PrecedenceGraph, RemoveEdge) {
   const vertex_id a = g.add_vertex(1);
   const vertex_id b = g.add_vertex(1);
   g.add_edge(a, b);
-  EXPECT_TRUE(g.remove_edge(a, b));
-  EXPECT_FALSE(g.remove_edge(a, b));
+  EXPECT_TRUE(g.remove_edge_reach_preserved(a, b));
+  EXPECT_FALSE(g.remove_edge_reach_preserved(a, b));
   EXPECT_EQ(g.edge_count(), 0u);
   EXPECT_FALSE(g.has_edge(a, b));
 }

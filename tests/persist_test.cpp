@@ -15,8 +15,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -58,6 +60,18 @@ sv::schedule_result infeasible_result() {
   r.feasible = false;
   r.infeasible_reason = "not enough ALUs";
   return r;
+}
+
+/// Lowercase hex of `bytes`, two digits per byte.
+std::string hex_of(std::string_view bytes) {
+  static constexpr char digits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += digits[b >> 4];
+    out += digits[b & 15];
+  }
+  return out;
 }
 
 /// Fresh empty cache directory under the test's temp space.
@@ -106,6 +120,44 @@ TEST_F(persist_fixture, SerializeDeserializeRoundTripsEveryField) {
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->first, key);
   EXPECT_TRUE(decoded->second.same_schedule(original));
+}
+
+TEST_F(persist_fixture, RecordAndExportBytesArePinned) {
+  // The format of record_version 1, byte for byte. The round-trip tests
+  // would still pass if the writer and the reader changed together; a
+  // change here orphans every warm cache and every export, so it must
+  // come with a new record_version.
+  const std::string feasible =
+      "5353444301000000"                 // magic, version
+      "ba79379e00000000feffffffffffffff" // key hi, lo
+      "b1000000000000009115c3a30edec7da" // payload length, checksum
+      "01000000000000000003000000000000000b0000000000000003000000000000"
+      "0000000000000000000100000000000000040000000000000003000000000000"
+      "000000000000000000010000000000000001000000000000000a000000000000"
+      "0014000000000000002000000000000000050000000000000003000000000000"
+      "0002000000000000000900000000000000040000000000000001000000000000"
+      "0006000000000000003300000000000000";
+  const std::string infeasible =
+      "5353444301000000"                 // magic, version
+      "73f36e3c01000000fdffffffffffffff" // key hi, lo
+      "9000000000000000901461412a838ec4" // payload length, checksum
+      "000f000000000000006e6f7420656e6f75676820414c55730000000000000000"
+      "ffffffffffffffff000000000000000000000000000000000a00000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000";
+  EXPECT_EQ(hex_of(sv::disk_cache::serialize_record(key_of(1), sample_result(9))), feasible);
+  EXPECT_EQ(hex_of(sv::disk_cache::serialize_record(key_of(2), infeasible_result())),
+            infeasible);
+
+  // An export is the container header, then the records most recently
+  // used first.
+  sv::disk_cache cache(options());
+  cache.store(key_of(1), std::make_shared<const sv::schedule_result>(sample_result(9)));
+  cache.store(key_of(2), std::make_shared<const sv::schedule_result>(infeasible_result()));
+  std::stringstream exported;
+  ASSERT_EQ(cache.export_to(exported), std::optional<std::uint64_t>(2));
+  EXPECT_EQ(hex_of(exported.str()), "5353435801000000" + infeasible + feasible);
 }
 
 TEST_F(persist_fixture, InfeasibleResultsRoundTripToo) {

@@ -70,6 +70,14 @@ constexpr long long max_jobs = 1024;
 constexpr long long max_latency = 1'000'000; // --latency and --wire delays
 constexpr long long max_seed = 1LL << 53;
 
+/// One --wire flag: the op names as typed (resolved once the design
+/// loads) and the delay, range-checked when the flag is read.
+struct wire_flag {
+  std::string text; // from:to:delay, for the report line
+  std::string from, to;
+  int delay = 0;
+};
+
 struct options {
   std::string bench;
   std::string dfg_file;
@@ -84,7 +92,7 @@ struct options {
   int mems = 1;
   bool alus_set = false, muls_set = false, mems_set = false;
   std::vector<std::string> spills;
-  std::vector<std::string> wires; // from:to:delay
+  std::vector<wire_flag> wires;
   std::string live_flag; // last of --spill/--wire/--stats/--dot: needs the live state
   bool gantt = false;
   bool stats = false;
@@ -189,6 +197,17 @@ se::axis_range axis_flag(const std::string& flag, const std::string& spec,
   return {bound(spec.substr(0, colon)), bound(spec.substr(colon + 1))};
 }
 
+// --wire <from>:<to>:<delay>: the shape and the delay range are usage
+// errors.
+wire_flag parse_wire(const std::string& text) {
+  const auto c1 = text.find(':');
+  const auto c2 = c1 == std::string::npos ? c1 : text.find(':', c1 + 1);
+  if (c2 == std::string::npos)
+    throw usage_error("--wire expects from:to:delay, got '" + text + "'");
+  return {text, text.substr(0, c1), text.substr(c1 + 1, c2 - c1 - 1),
+          int_flag("--wire delay", text.substr(c2 + 1), 1, max_latency)};
+}
+
 options parse_args(int argc, char** argv) {
   options opt;
   auto need = [&](int& i) -> std::string {
@@ -222,7 +241,7 @@ options parse_args(int argc, char** argv) {
     else if (arg == "--muls") { opt.muls = integer(i, 0, max_units); opt.muls_set = true; }
     else if (arg == "--mems") { opt.mems = integer(i, 0, max_units); opt.mems_set = true; }
     else if (arg == "--spill") { opt.spills.push_back(need(i)); opt.live_flag = arg; }
-    else if (arg == "--wire") { opt.wires.push_back(need(i)); opt.live_flag = arg; }
+    else if (arg == "--wire") { opt.wires.push_back(parse_wire(need(i))); opt.live_flag = arg; }
     else if (arg == "--explore") opt.explore = true;
     else if (arg == "--jobs") opt.service.jobs = integer(i, 0, max_jobs);
     else if (arg == "--alus-range") opt.alus_range = need(i);
@@ -665,16 +684,11 @@ int run(const options& opt) {
                 << report.diameter_before << " -> " << report.diameter_after
                 << " states\n";
     }
-    for (const std::string& spec : opt.wires) {
-      const auto c1 = spec.find(':');
-      const auto c2 = spec.find(':', c1 == std::string::npos ? c1 : c1 + 1);
-      if (c1 == std::string::npos || c2 == std::string::npos)
-        throw softsched::precondition_error("--wire expects from:to:delay");
-      const auto report = sf::apply_wire_delay(
-          design, state, si::find_op(design, spec.substr(0, c1)),
-          si::find_op(design, spec.substr(c1 + 1, c2 - c1 - 1)),
-          int_flag("--wire delay", spec.substr(c2 + 1), 1, max_latency));
-      std::cout << "wire " << spec << ": " << report.diameter_before << " -> "
+    for (const wire_flag& wire : opt.wires) {
+      const auto report =
+          sf::apply_wire_delay(design, state, si::find_op(design, wire.from),
+                               si::find_op(design, wire.to), wire.delay);
+      std::cout << "wire " << wire.text << ": " << report.diameter_before << " -> "
                 << report.diameter_after << " states\n";
     }
     result = sh::extract_schedule(state);
@@ -713,13 +727,11 @@ int run(const options& opt) {
               << " cross-edge updates\n";
   }
   if (!opt.dot_file.empty()) {
-    if (opt.dot_file == "-") {
-      sc::write_state_dot(std::cout, *ctx.state, design.name());
-    } else {
-      std::ofstream out(opt.dot_file);
-      sc::write_state_dot(out, *ctx.state, design.name());
-      std::cout << "wrote " << opt.dot_file << "\n";
-    }
+    std::ofstream dot_file;
+    std::ostream& out = file_or_std(opt.dot_file, dot_file, std::cout);
+    sc::write_state_dot(out, *ctx.state, design.name());
+    if (!out.flush()) throw softsched::precondition_error("failed to write " + opt.dot_file);
+    if (&out == &dot_file) std::cout << "wrote " << opt.dot_file << "\n";
   }
   return 0;
 }
