@@ -41,6 +41,7 @@ threaded_graph::threaded_graph(const precedence_graph& g, std::span<const int> t
       s_(util::arena_allocator<std::int32_t>(arena)),
       t_(util::arena_allocator<std::int32_t>(arena)),
       node_index_(util::arena_allocator<std::int32_t>(arena)),
+      fresh_(util::arena_allocator<std::int32_t>(arena)),
       scratch_topo_(util::arena_allocator<std::int32_t>(arena)),
       scratch_degree_(util::arena_allocator<std::int32_t>(arena)),
       scratch_queue_(util::arena_allocator<std::int32_t>(arena)),
@@ -75,6 +76,7 @@ threaded_graph::threaded_graph(const precedence_graph& g, std::span<const int> t
     s_[static_cast<std::size_t>(k)] = s;
     t_[static_cast<std::size_t>(k)] = t;
   }
+  fresh_.assign(s_.begin(), s_.end());
 }
 
 void threaded_graph::reserve_vertices(std::size_t expected_vertices) {
@@ -151,9 +153,11 @@ int threaded_graph::add_thread(int tag) {
   in_slot(t, k) = s;
   s_.push_back(s);
   t_.push_back(t);
+  fresh_.push_back(s);
   size_per_thread_scratch();
-  // The fresh sentinels are born with their exact labels (sdist = tdist = 0
-  // on an empty thread) and nothing else moves, so labels_valid_ survives.
+  // The new sentinels are born with their exact labels (sdist = tdist = 0
+  // on an empty thread, which starts fresh) and nothing else moves, so
+  // labels_valid_ survives.
   return k;
 }
 
@@ -233,28 +237,35 @@ void threaded_graph::label() {
     }
     nodes_[static_cast<std::size_t>(*it)].tdist = best + nodes_[static_cast<std::size_t>(*it)].delay;
   }
+  // The longest path ends at the node with the largest sdist.
   diameter_cache_ = 0;
-  for (const node& nd : nodes_)
-    diameter_cache_ = std::max(diameter_cache_, nd.sdist + nd.tdist - nd.delay);
+  for (const node& nd : nodes_) diameter_cache_ = std::max(diameter_cache_, nd.sdist);
+  std::copy(s_.begin(), s_.end(), fresh_.begin());
   labels_valid_ = true;
 }
 
 void threaded_graph::incremental_relabel(std::int32_t n) {
   const std::size_t count = nodes_.size();
-  // Seed: the spliced node's labels from its (unchanged) neighbours.
+  // Seed: the spliced node's labels from its (unchanged) neighbours. Its
+  // successors are fresh - its thread successor and succ-seed extremes are
+  // what select() just read - so n joins the fresh set with an exact tdist.
   {
     node& nd = nodes_[static_cast<std::size_t>(n)];
+    auto& first_fresh = fresh_[static_cast<std::size_t>(nd.thread)];
+    if (first_fresh == out_slot(n, nd.thread)) first_fresh = n;
     long long src = 0;
     long long snk = 0;
     for (int k = 0; k < k_; ++k) {
       const std::int32_t p = in_slot(n, k);
       if (p != no_node) src = std::max(src, nodes_[static_cast<std::size_t>(p)].sdist);
       const std::int32_t q = out_slot(n, k);
-      if (q != no_node) snk = std::max(snk, nodes_[static_cast<std::size_t>(q)].tdist);
+      if (q == no_node) continue;
+      SOFTSCHED_EXPECT(fresh(q, k), "commit: a successor of the new node is stale");
+      snk = std::max(snk, nodes_[static_cast<std::size_t>(q)].tdist);
     }
     nd.sdist = src + nd.delay;
     nd.tdist = snk + nd.delay;
-    diameter_cache_ = std::max(diameter_cache_, nd.sdist + nd.tdist - nd.delay);
+    diameter_cache_ = std::max(diameter_cache_, nd.sdist);
   }
   ++stats_.nodes_relabeled;
 
@@ -287,7 +298,7 @@ void threaded_graph::incremental_relabel(std::int32_t n) {
       const long long cand = nodes_[static_cast<std::size_t>(u)].sdist + wd.delay;
       if (cand <= wd.sdist) continue;
       wd.sdist = cand;
-      diameter_cache_ = std::max(diameter_cache_, wd.sdist + wd.tdist - wd.delay);
+      diameter_cache_ = std::max(diameter_cache_, wd.sdist);
       ++stats_.nodes_relabeled;
       if (!scratch_queued_[static_cast<std::size_t>(w)]) {
         scratch_queued_[static_cast<std::size_t>(w)] = 1;
@@ -296,8 +307,21 @@ void threaded_graph::incremental_relabel(std::int32_t n) {
     }
   }
 
-  // Backward cone: tdist increases along in slots. The forward loop left
+  // Backward cone: tdist increases along in slots, over fresh nodes only:
+  // a stale node's predecessors are stale too. The raises inside
+  // select()'s pred cone may number at most the members the cone leaves
+  // outside, the budget close_cut keeps. Past it, the cone leaves the
+  // fresh set: it is closed under predecessors and no commit edge enters
+  // it, so the rest stays closed under successors. The forward loop left
   // every flag unset again, so the array is ready as-is.
+  const auto cut_rank = [this](int k) {
+    return nodes_[static_cast<std::size_t>(scratch_pred_cut_[static_cast<std::size_t>(k)])].rank;
+  };
+  long long outside = 0;
+  for (int j = 0; j < k_; ++j)
+    outside += nodes_[static_cast<std::size_t>(t_[static_cast<std::size_t>(j)])].rank - 1 -
+               cut_rank(j);
+  bool cone_fresh = true;
   scratch_queue_.clear();
   scratch_queue_.push_back(n);
   scratch_queued_[static_cast<std::size_t>(n)] = 1;
@@ -315,9 +339,17 @@ void threaded_graph::incremental_relabel(std::int32_t n) {
       }
       node& pd = nodes_[static_cast<std::size_t>(p)];
       const long long cand = nodes_[static_cast<std::size_t>(u)].tdist + pd.delay;
-      if (cand <= pd.tdist) continue;
+      if (cand <= pd.tdist || !fresh(p, k)) continue;
+      if (cone_fresh && pd.rank <= cut_rank(k) && --outside < 0) {
+        for (int j = 0; j < k_; ++j) {
+          auto& first_fresh = fresh_[static_cast<std::size_t>(j)];
+          if (nodes_[static_cast<std::size_t>(first_fresh)].rank <= cut_rank(j))
+            first_fresh = out_slot(scratch_pred_cut_[static_cast<std::size_t>(j)], j);
+        }
+        cone_fresh = false;
+        continue; // p is in the cone, stale now
+      }
       pd.tdist = cand;
-      diameter_cache_ = std::max(diameter_cache_, pd.sdist + pd.tdist - pd.delay);
       ++stats_.nodes_relabeled;
       if (!scratch_queued_[static_cast<std::size_t>(p)]) {
         scratch_queued_[static_cast<std::size_t>(p)] = 1;
@@ -327,16 +359,63 @@ void threaded_graph::incremental_relabel(std::int32_t n) {
   }
 }
 
+void threaded_graph::refresh_tdist(std::int32_t target) {
+  if (fresh(target, nodes_[static_cast<std::size_t>(target)].thread)) return;
+  // goals holds one node per thread at most: a blocker is a successor of
+  // the node waiting on it, so a thread already on the stack would close a
+  // cycle (docs/DESIGN.md §4).
+  auto& goals = scratch_queue_;
+  goals.clear();
+  goals.push_back(target);
+  while (!goals.empty()) {
+    const std::int32_t goal = goals.back();
+    const int j = nodes_[static_cast<std::size_t>(goal)].thread;
+    auto& first_fresh = fresh_[static_cast<std::size_t>(j)];
+    if (fresh(goal, j)) {
+      goals.pop_back();
+      continue;
+    }
+    const std::int32_t n = in_slot(first_fresh, j);
+    long long best = 0;
+    std::int32_t blocker = no_node;
+    for (int k = 0; k < k_ && blocker == no_node; ++k) {
+      const std::int32_t w = out_slot(n, k);
+      if (w == no_node) continue;
+      if (fresh(w, k))
+        best = std::max(best, nodes_[static_cast<std::size_t>(w)].tdist);
+      else
+        blocker = w;
+    }
+    if (blocker != no_node) {
+      goals.push_back(blocker);
+      continue;
+    }
+    nodes_[static_cast<std::size_t>(n)].tdist = best + nodes_[static_cast<std::size_t>(n)].delay;
+    first_fresh = n;
+    ++stats_.nodes_relabeled;
+  }
+}
+
 bool threaded_graph::labels_match_full_relabel() {
   label(); // materialize the (possibly incrementally maintained) labels
   scratch_labels_.clear();
   scratch_labels_.reserve(nodes_.size());
   for (const node& nd : nodes_) scratch_labels_.emplace_back(nd.sdist, nd.tdist);
+  std::copy(fresh_.begin(), fresh_.end(), scratch_frontier_.begin());
   labels_valid_ = false;
-  label(); // forced full pass; also repairs the labels on divergence
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    if (scratch_labels_[i] != std::make_pair(nodes_[i].sdist, nodes_[i].tdist))
-      return false;
+  label(); // full pass; also repairs the labels on divergence
+  --stats_.label_passes; // the check's own pass is not the run's
+  std::copy(scratch_frontier_.begin(), scratch_frontier_.end(), fresh_.begin());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const auto n = static_cast<std::int32_t>(i);
+    if (!fresh(n, nodes_[i].thread)) {
+      if (scratch_labels_[i].first != nodes_[i].sdist) return false;
+      continue;
+    }
+    if (scratch_labels_[i] != std::make_pair(nodes_[i].sdist, nodes_[i].tdist)) return false;
+    for (int k = 0; k < k_; ++k)
+      if (const std::int32_t w = out_slot(n, k); w != no_node && !fresh(w, k)) return false;
+  }
   return true;
 }
 
@@ -382,6 +461,7 @@ void threaded_graph::compute_legality_and_intrinsics(vertex_id v, long long& int
     }
     if (const std::int32_t x = scratch_earliest_succ_[j]; x != no_node) {
       scratch_succ_cut_[j] = x;
+      refresh_tdist(x);
       intrinsic_snk = std::max(intrinsic_snk, nodes_[static_cast<std::size_t>(x)].tdist);
     }
   }
@@ -595,6 +675,7 @@ insert_position threaded_graph::select_impl(vertex_id v) {
       continue;
     }
     stats_.positions_rejected += positions_before(first);
+    refresh_tdist(out_slot(first, k)); // every tdist the scan reads lies from here on
     std::int32_t cur = first;
     for (; cur != stop && !pruned(cur); cur = out_slot(cur, k)) {
       const std::int32_t next = out_slot(cur, k);
@@ -658,14 +739,6 @@ insert_position threaded_graph::select_naive(vertex_id v) const {
                            std::string(base.g_->name(v)) + "'");
   SOFTSCHED_EXPECT(best.valid(), "select_naive: no legal position");
   return best;
-}
-
-void threaded_graph::renumber_thread(int k) {
-  int rank = 0;
-  for (std::int32_t cur = s_[static_cast<std::size_t>(k)]; cur != no_node;
-       cur = out_slot(cur, k)) {
-    nodes_[static_cast<std::size_t>(cur)].rank = rank++;
-  }
 }
 
 void threaded_graph::ensure_cross_edge(std::int32_t u, std::int32_t w) {
@@ -748,7 +821,10 @@ void threaded_graph::commit_impl(const insert_position& pos, vertex_id v,
   in_slot(n, k) = after;
   out_slot(n, k) = next;
   in_slot(next, k) = n;
-  renumber_thread(k);
+  // Only the ranks from n to the sink sentinel shift.
+  for (std::int32_t cur = n, rank = nodes_[static_cast<std::size_t>(after)].rank + 1;
+       cur != no_node; cur = out_slot(cur, k))
+    nodes_[static_cast<std::size_t>(cur)].rank = rank++;
 
   // Lines 28-41: re-route cross edges. Only the *latest* scheduled
   // G-predecessor per thread (and the earliest successor) can carry a
@@ -853,9 +929,9 @@ void threaded_graph::schedule_all(const std::vector<vertex_id>& meta_order) {
 }
 
 long long threaded_graph::diameter() {
-  // label() refreshes diameter_cache_ on a full pass; incremental_relabel
-  // keeps it current (sound because labels never decrease: the maximum is
-  // max(previous diameter, contributions of the patched nodes)).
+  // The maximum sdist: label() takes it on a full pass, and
+  // incremental_relabel keeps it current (sound because labels never
+  // decrease: the maximum is max(previous diameter, the patched sdists)).
   label();
   return diameter_cache_;
 }
@@ -871,6 +947,7 @@ long long threaded_graph::sink_distance(vertex_id v) {
   const std::int32_t n = node_of(v);
   SOFTSCHED_EXPECT(n != no_node, "vertex is not scheduled");
   label();
+  refresh_tdist(n);
   return nodes_[static_cast<std::size_t>(n)].tdist;
 }
 

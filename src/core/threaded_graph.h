@@ -58,7 +58,7 @@ struct schedule_stats {
   std::uint64_t commits = 0;
   std::uint64_t label_passes = 0;       ///< full forward+backward relabelings
   std::uint64_t cross_edge_updates = 0; ///< Figure-2 rule applications
-  std::uint64_t nodes_relabeled = 0;    ///< label writes by dirty-region relabeling
+  std::uint64_t nodes_relabeled = 0;    ///< label writes by commit patches and tdist refreshes
   std::uint64_t closure_rebuilds = 0;   ///< from-scratch transitive-closure builds
   std::uint64_t closure_syncs = 0;      ///< incremental closure catch-ups
   std::uint64_t closure_rows_touched = 0; ///< bitset rows updated by incremental syncs
@@ -243,12 +243,16 @@ public:
   void set_incremental(bool enabled) noexcept { incremental_ = enabled; }
 
   /// Cross-validates the current (possibly incrementally maintained)
-  /// labels against a forced full label() pass. Returns true iff every
-  /// sdist/tdist matches. The equivalence tests call this after every
-  /// commit; setting the SOFTSCHED_PARANOID environment variable makes
-  /// every commit/closure-sync self-check the same way (and every select
-  /// check its legality cuts against the cone BFS) and throw graph_error
-  /// on divergence.
+  /// labels against a full label() pass. Returns true iff every sdist and
+  /// the tdist of every fresh node (see fresh_) match, and no state edge
+  /// leaves the fresh set. The check leaves no trace: its own pass is not
+  /// counted in label_passes, and the fresh suffixes are put back, so a
+  /// checked run refreshes (and counts) exactly what an unchecked one
+  /// does. The equivalence tests call this after every commit; setting
+  /// the SOFTSCHED_PARANOID environment variable makes every
+  /// commit/closure-sync self-check the same way (and every select check
+  /// its legality cuts against the cone BFS) and throw graph_error on
+  /// divergence.
   [[nodiscard]] bool labels_match_full_relabel();
 
 private:
@@ -271,18 +275,35 @@ private:
   [[nodiscard]] std::int32_t node_of(vertex_id v) const;
 
   /// forwardLabel + backwardLabel of Algorithm 1: longest-path labels over
-  /// the state via one Kahn pass each way. Throws graph_error if the state
-  /// is cyclic (only reachable through deliberately corrupted commits in
-  /// tests). O(K * |V|).
+  /// the state via one Kahn pass each way; every node becomes fresh.
+  /// Throws graph_error if the state is cyclic (only reachable through
+  /// deliberately corrupted commits in tests). O(K * |V|).
   void label();
 
-  /// Dirty-region relabeling after commit() spliced node n: only the cone
-  /// reachable from n (forward for sdist, backward for tdist) is updated
-  /// via a bounded worklist. Sound because every label change a commit can
+  /// Dirty-region relabeling after commit() spliced node n, whose
+  /// successors select() has just refreshed: sdist increases are pushed
+  /// forward from n over the whole state, tdist increases backward over
+  /// the fresh set only. Sound because every label change a commit can
   /// cause is an *increase* routed through n - the chain/cross edges the
   /// Figure-2 rules drop are implied by at-least-as-long paths, so no
-  /// label ever decreases (docs/DESIGN.md §4). Requires labels_valid_.
+  /// label ever decreases - and because a fresh node reaches n through
+  /// fresh nodes alone. Once the backward patch has raised more nodes of
+  /// select()'s pred cone than the cone leaves outside, the cone leaves
+  /// the fresh set (docs/DESIGN.md §4). Requires labels_valid_ and the
+  /// pred cuts of the select() that chose n.
   void incremental_relabel(std::int32_t n);
+
+  /// Whether node n of thread k has an exact tdist: it lies in the fresh
+  /// suffix of its thread.
+  [[nodiscard]] bool fresh(std::int32_t n, int k) const {
+    return nodes_[static_cast<std::size_t>(n)].rank >=
+           nodes_[static_cast<std::size_t>(fresh_[static_cast<std::size_t>(k)])].rank;
+  }
+
+  /// Makes `target` fresh: recomputes tdist backward from its thread's
+  /// first fresh node down to it, extending another thread first where an
+  /// out slot lands on one of its stale nodes. Requires labels_valid_.
+  void refresh_tdist(std::int32_t target);
 
   /// Brings <=G up to date with the source graph: no-op when in sync,
   /// otherwise incremental grow_from(), or a full build on first use and
@@ -330,8 +351,6 @@ private:
   /// update rules, generalized to keep out/in slots symmetric).
   void ensure_cross_edge(std::int32_t u, std::int32_t w);
 
-  void renumber_thread(int k);
-
   /// Sizes the per-thread scratch arrays to k_ (constructor, add_thread()).
   void size_per_thread_scratch();
 
@@ -356,9 +375,14 @@ private:
   std::optional<graph::transitive_closure> closure_;
   graph::graph_cursor closure_cursor_;
 
+  // Per thread, the first node whose tdist is exact. Every later node of
+  // the thread is exact too, and no state edge leaves the fresh set, so a
+  // stale node's predecessors are stale as well. sdist is exact on every
+  // node. Meaningful iff labels_valid_ (docs/DESIGN.md §4).
+  util::arena_vector<std::int32_t> fresh_;
   bool labels_valid_ = false;
   bool incremental_ = true;
-  long long diameter_cache_ = 0; // valid iff labels_valid_; see diameter()
+  long long diameter_cache_ = 0; // max sdist, valid iff labels_valid_; see diameter()
   schedule_stats stats_;
 
   // Scratch buffers reused across schedule() calls to stay allocation-free
@@ -366,13 +390,14 @@ private:
   // complexity benchmark).
   util::arena_vector<std::int32_t> scratch_topo_;
   util::arena_vector<std::int32_t> scratch_degree_;
-  util::arena_vector<std::int32_t> scratch_queue_;
+  util::arena_vector<std::int32_t> scratch_queue_; // relabel worklist, refresh stack
   util::arena_vector<std::uint8_t> scratch_queued_;
   // Per thread, sized k_ by size_per_thread_scratch() and overwritten by
   // every compute_legality_and_intrinsics: the seed extremes, the two
   // legality cuts (a node of that thread; the source sentinel when the
   // pred cone misses the thread, the sink sentinel when the succ cone
-  // does) and close_cut's working frontier.
+  // does) and close_cut's working frontier, which
+  // labels_match_full_relabel also uses to put fresh_ back.
   util::arena_vector<std::int32_t> scratch_latest_pred_;
   util::arena_vector<std::int32_t> scratch_earliest_succ_;
   util::arena_vector<std::int32_t> scratch_pred_cut_;

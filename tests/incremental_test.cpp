@@ -5,14 +5,19 @@
 // growth exactly, including across reach-preserving rewires; (3) the
 // dirty-region relabeling of threaded_graph must agree with a full
 // label() pass after every commit, through schedules and refinement
-// storms alike.
+// storms alike, and sink distances kept exact only on each thread's fresh
+// suffix must read as the from-scratch ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/hls_binding.h"
 #include "core/threaded_graph.h"
+#include "explore/grid.h"
 #include "graph/generators.h"
 #include "graph/precedence_graph.h"
 #include "graph/reachability.h"
@@ -24,6 +29,7 @@
 
 namespace sg = softsched::graph;
 namespace sc = softsched::core;
+namespace se = softsched::explore;
 namespace si = softsched::ir;
 namespace sm = softsched::meta;
 namespace sf = softsched::refine;
@@ -158,6 +164,7 @@ TEST(IncrementalLabels, RandomSchedulesMatchFullRelabel) {
     state.check_invariants();
     // The whole run needed exactly one full pass (the first select); all
     // later labels came from dirty-region patches.
+    EXPECT_EQ(state.stats().label_passes, 1u);
     EXPECT_GT(state.stats().nodes_relabeled, 0u);
   }
 }
@@ -235,10 +242,102 @@ TEST(IncrementalLabels, FromScratchModeStaysEquivalent) {
     EXPECT_EQ(fast.sink_distance(v), slow.sink_distance(v));
   }
   // The baseline never patches labels; the incremental run patches every
-  // commit. (label_passes is not compared: SOFTSCHED_PARANOID adds full
-  // self-check passes to the incremental run.)
+  // commit and labels once. SOFTSCHED_PARANOID's self-checks count no pass.
   EXPECT_EQ(slow.stats().nodes_relabeled, 0u);
   EXPECT_GT(fast.stats().nodes_relabeled, 0u);
+  EXPECT_EQ(fast.stats().label_passes, 1u);
+}
+
+TEST(IncrementalLabels, LayeredDesignAndRefinementsMatchFromScratchTwin) {
+  // The two paths a 30-60-op design rarely takes: a commit whose backward
+  // patch raises more of the select's pred cone than the cone leaves
+  // outside, which drops the cone from the fresh set, and the refresh of a
+  // stale sink distance on read. A 600-op layered design fed in list order
+  // appends each op after its predecessors, so a cone can outweigh its
+  // complement; the refinements then read anywhere. After every step the
+  // state must match a from-scratch twin vertex by vertex. The counters are
+  // pinned: they change when the patch or the refresh writes more or less,
+  // and SOFTSCHED_PARANOID (ctest runs this case a second time under it)
+  // must not change them.
+  const si::resource_library lib;
+  se::design_spec spec;
+  spec.random_vertices = 600;
+  spec.seed = 0xf7e5;
+  si::dfg d = se::build_design(spec, lib);
+  si::dfg twin_d = se::build_design(spec, lib);
+  const si::resource_set allocation{3, 2, 1};
+  sc::threaded_graph state = sc::make_hls_state(d, allocation);
+  sc::threaded_graph twin = sc::make_hls_state(twin_d, allocation);
+  twin.set_incremental(false);
+  const auto order = sm::meta_schedule(d.graph(), sm::meta_kind::list_priority);
+  ASSERT_GE(order.size(), 500u);
+  state.schedule_all(order);
+  twin.schedule_all(order);
+
+  const auto expect_twins = [&](const std::string& at) {
+    // Before any read refreshes a stale node: the check itself is neutral.
+    ASSERT_TRUE(state.labels_match_full_relabel()) << at;
+    ASSERT_EQ(state.diameter(), twin.diameter()) << at;
+    for (const vertex_id v : d.graph().vertices()) {
+      ASSERT_EQ(state.thread_of(v), twin.thread_of(v)) << at;
+      ASSERT_EQ(state.source_distance(v), twin.source_distance(v)) << at;
+      ASSERT_EQ(state.sink_distance(v), twin.sink_distance(v)) << at;
+    }
+  };
+  expect_twins("after the schedule");
+
+  rng rand(0x5eed);
+  const auto producer = [&](bool spillable) {
+    std::vector<vertex_id> candidates;
+    for (const vertex_id v : d.graph().vertices())
+      if (!d.graph().succs(v).empty() && !(spillable && d.kind(v) == si::op_kind::store))
+        candidates.push_back(v);
+    return candidates[static_cast<std::size_t>(rand.below(candidates.size()))];
+  };
+  for (int step = 0; step < 40; ++step) {
+    const std::string at = "step " + std::to_string(step);
+    const auto action = rand.below(4);
+    if (action == 3) {
+      std::vector<vertex_id> inputs;
+      for (int i = 0; i < 3; ++i) {
+        const vertex_id in(static_cast<std::uint32_t>(rand.below(d.op_count())));
+        if (std::find(inputs.begin(), inputs.end(), in) == inputs.end()) inputs.push_back(in);
+      }
+      const std::string name = "eco" + std::to_string(step);
+      state.schedule(d.add_op(si::op_kind::add, std::span<const vertex_id>(inputs), name));
+      twin.schedule(twin_d.add_op(si::op_kind::add, std::span<const vertex_id>(inputs), name));
+    } else if (action == 0) {
+      const vertex_id value = producer(true);
+      sf::apply_spill(d, state, value);
+      sf::apply_spill(twin_d, twin, value);
+    } else {
+      const vertex_id from = producer(false);
+      const auto succs = d.graph().succs(from);
+      const vertex_id to = succs[static_cast<std::size_t>(rand.below(succs.size()))];
+      if (action == 1) {
+        const int delay = 1 + static_cast<int>(rand.below(3));
+        sf::apply_wire_delay(d, state, from, to, delay);
+        sf::apply_wire_delay(twin_d, twin, from, to, delay);
+      } else {
+        sf::apply_register_move(d, state, from, to);
+        sf::apply_register_move(twin_d, twin, from, to);
+      }
+    }
+    expect_twins(at);
+  }
+  state.check_invariants();
+
+  const sc::schedule_stats& s = state.stats();
+  EXPECT_EQ(s.select_calls, 784u);
+  EXPECT_EQ(s.positions_scanned, 14604u);
+  EXPECT_EQ(s.positions_rejected, 85230u);
+  EXPECT_EQ(s.commits, 784u);
+  EXPECT_EQ(s.label_passes, 1u);
+  EXPECT_EQ(s.cross_edge_updates, 2396u);
+  EXPECT_EQ(s.nodes_relabeled, 41392u);
+  EXPECT_EQ(s.closure_rebuilds, 1u);
+  EXPECT_EQ(s.closure_syncs, 40u);
+  EXPECT_EQ(s.closure_rows_touched, 42052u);
 }
 
 TEST(IncrementalLabels, IllegalManualCommitStillDiagnosedByNextLabelPass) {
